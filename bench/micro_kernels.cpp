@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the computational kernels: GEMM,
 // im2col, LIF step, surrogate gradient, drop/grow selection, CSR matvec,
-// and the CSR-vs-BCSR spmm/spmm_t comparison at the structured-sparsity
-// patterns the runtime targets (2:4, 1:4, 4x4 blocks). These quantify
+// and CSR spmm/spmm_t at the N:M deployment patterns (2:4, 1:4). These
+// quantify
 // where the training loop and the inference runtime spend their time.
 #include <benchmark/benchmark.h>
 
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "snn/lif.hpp"
-#include "sparse/bcsr.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/structured.hpp"
 #include "sparse/topk.hpp"
@@ -156,35 +155,20 @@ void BM_CsrMatvec(benchmark::State& state) {
 }
 BENCHMARK(BM_CsrMatvec)->Apply(MinOfRepeats)->Arg(100)->Arg(10)->Arg(2);
 
-// --------------------------------------------------- CSR vs BCSR kernels
+// ------------------------------------------------- CSR at N:M patterns
 //
 // A 512x512 weight layer at the structured patterns of Sec. III-D.
-// Pattern ids: 0 = 2:4, 1 = 1:4, 2 = random 4x4 block mask (25% of
-// blocks kept). The BCSR variants pack 4x4 dense micro-blocks.
+// Pattern ids: 0 = 2:4, 1 = 1:4.
 
 Tensor make_pattern_matrix(int64_t pattern_id, uint64_t seed) {
   Rng rng(seed);
   Tensor a(Shape{512, 512});
   a.fill_uniform(rng, -1.0F, 1.0F);
-  if (pattern_id == 0) {
-    ndsnn::sparse::project_nm(a, {2, 4});
-  } else if (pattern_id == 1) {
-    ndsnn::sparse::project_nm(a, {1, 4});
-  } else {
-    for (int64_t rb = 0; rb < 512; rb += 4) {
-      for (int64_t cb = 0; cb < 512; cb += 4) {
-        if (rng.uniform01() < 0.75) {
-          for (int64_t r = 0; r < 4; ++r) {
-            for (int64_t c = 0; c < 4; ++c) a.at(rb + r, cb + c) = 0.0F;
-          }
-        }
-      }
-    }
-  }
+  ndsnn::sparse::project_nm(a, {pattern_id == 0 ? 2 : 1, 4});
   return a;
 }
 
-const char* pattern_name(int64_t id) { return id == 0 ? "2:4" : id == 1 ? "1:4" : "blk4x4"; }
+const char* pattern_name(int64_t id) { return id == 0 ? "2:4" : "1:4"; }
 
 /// B has 256 columns, conv-like (im2col L for a small feature map).
 constexpr int64_t kSpmmCols = 256;
@@ -206,26 +190,7 @@ void BM_CsrSpmm(benchmark::State& state) {
                  std::to_string(csr.nnz()));
   state.SetItemsProcessed(state.iterations() * 2 * csr.nnz() * kSpmmCols);
 }
-BENCHMARK(BM_CsrSpmm)->Apply(MinOfRepeats)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_BcsrSpmm(benchmark::State& state) {
-  const Tensor a = make_pattern_matrix(state.range(0), 21);
-  const auto bcsr = ndsnn::sparse::Bcsr::from_dense(a, 4, 4);
-  Rng rng(22);
-  Tensor b(Shape{512, kSpmmCols});
-  b.fill_uniform(rng, -1.0F, 1.0F);
-  (void)bcsr.spmm(b);  // warm-up
-  for (auto _ : state) {
-    Tensor c = bcsr.spmm(b);
-    benchmark::DoNotOptimize(c.data());
-  }
-  char label[96];
-  std::snprintf(label, sizeof label, "%s occupancy=%.2f", pattern_name(state.range(0)),
-                bcsr.occupancy());
-  state.SetLabel(label);
-  state.SetItemsProcessed(state.iterations() * 2 * bcsr.nnz() * kSpmmCols);
-}
-BENCHMARK(BM_BcsrSpmm)->Apply(MinOfRepeats)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_CsrSpmm)->Apply(MinOfRepeats)->Arg(0)->Arg(1);
 
 void BM_CsrSpmmT(benchmark::State& state) {
   const Tensor a = make_pattern_matrix(state.range(0), 23);
@@ -241,23 +206,7 @@ void BM_CsrSpmmT(benchmark::State& state) {
   state.SetLabel(pattern_name(state.range(0)));
   state.SetItemsProcessed(state.iterations() * 2 * csr.nnz() * kSpmmTRows);
 }
-BENCHMARK(BM_CsrSpmmT)->Apply(MinOfRepeats)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_BcsrSpmmT(benchmark::State& state) {
-  const Tensor a = make_pattern_matrix(state.range(0), 23);
-  const auto bcsr = ndsnn::sparse::Bcsr::from_dense(a, 4, 4);
-  Rng rng(24);
-  Tensor b(Shape{kSpmmTRows, 512});
-  b.fill_uniform(rng, -1.0F, 1.0F);
-  (void)bcsr.spmm_t(b);  // warm-up
-  for (auto _ : state) {
-    Tensor c = bcsr.spmm_t(b);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetLabel(pattern_name(state.range(0)));
-  state.SetItemsProcessed(state.iterations() * 2 * bcsr.nnz() * kSpmmTRows);
-}
-BENCHMARK(BM_BcsrSpmmT)->Apply(MinOfRepeats)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_CsrSpmmT)->Apply(MinOfRepeats)->Arg(0)->Arg(1);
 
 // ---------------------------------------------------------- kernel tiers
 //

@@ -1,6 +1,6 @@
 // Serving demo: train a sparse SNN with NDSNN, optionally project it
 // onto an N:M structured pattern for deployment, compile it to sparse
-// kernels (CSR for unstructured masks, block-CSR for structured ones,
+// kernels (CSR for sparse layers, unstructured and N:M-projected alike;
 // event-driven gather behind low-rate spike trains — the compiler's
 // heuristics pick per layer), and serve classification requests through
 // the multi-threaded BatchExecutor, reporting p50/p95/p99 latency.
@@ -10,7 +10,6 @@
 //                           [--activation auto|dense|event]
 //                           [--precision auto|fp32|int8|int4]
 //                           [--kernel-tier auto|scalar|vector|avx2]
-//                           [--autotune]
 //                           [--intra-threads 1] [--coalesce 0]
 //                           [--coalesce-wait-us 200] [--slo-ms 0]
 //                           [--save-checkpoint model.ndck]
@@ -215,15 +214,11 @@ void serve(const ndsnn::runtime::CompiledNetwork& plan,
 namespace {
 
 /// --help text, grouped to mirror CompileOptions' nested structure
-/// (BackendOptions / QuantOptions / ExecOptions) so the CLI surface and
-/// the API present the same mental model.
+/// (QuantOptions / ExecOptions; BackendOptions has no flags here) so the
+/// CLI surface and the API present the same mental model.
 void print_help() {
   std::printf(
       "serve_sparse — train/load a sparse SNN and serve it\n"
-      "\n"
-      "backend options (runtime::BackendOptions):\n"
-      "  --kernel-tier auto|scalar|vector|avx2   pin the SIMD dispatch tier\n"
-      "  --autotune                              measure per-layer lowering choices\n"
       "\n"
       "quantisation options (runtime::QuantOptions):\n"
       "  --precision auto|fp32|int8|int4         stored weight precision\n"
@@ -231,6 +226,7 @@ void print_help() {
       "execution options (runtime::ExecOptions):\n"
       "  --activation auto|dense|event           activation representation\n"
       "  --intra-threads N                       intra-op lanes (0 = hw concurrency)\n"
+      "  --kernel-tier auto|scalar|vector|avx2   pin the SIMD dispatch tier\n"
       "\n"
       "executor / scheduling:\n"
       "  --threads N        total request-worker budget (default 4)\n"
@@ -280,16 +276,13 @@ int main(int argc, char** argv) {
   opts.weight_precision = ndsnn::runtime::parse_weight_precision(precision_spec);
   opts.num_threads = cli.get_int("--intra-threads", 1);
   // --kernel-tier pins the SIMD dispatch tier (scalar|vector|avx2|auto)
-  // for reproducible serving across heterogeneous fleets; --autotune
-  // replaces the lowering heuristics with measured per-layer decisions
-  // (cached, so checkpoint reloads decide instantly).
+  // for reproducible serving across heterogeneous fleets.
   const std::string tier_spec = cli.get_string("--kernel-tier", "auto");
   if (!ndsnn::util::simd::parse(tier_spec, &opts.kernel_tier)) {
     std::fprintf(stderr, "unknown --kernel-tier '%s' (want scalar|vector|avx2|auto)\n",
                  tier_spec.c_str());
     return 1;
   }
-  opts.autotune = cli.has_flag("--autotune");
 
   ndsnn::runtime::ExecutorOptions exec_opts;
   exec_opts.max_coalesce = cli.get_int("--coalesce", 0);
@@ -470,8 +463,8 @@ int main(int argc, char** argv) {
               100.0 * result.final_sparsity);
 
   // 2. (Optional) Deployment projection: snap the unstructured trained
-  // mask onto an N:M pattern so structured-sparsity hardware — and the
-  // runtime's block-CSR kernels — can execute it.
+  // mask onto an N:M pattern for structured-sparsity hardware. The
+  // projected net still runs on the runtime's CSR kernels.
   if (!nm_spec.empty()) {
     const auto pattern = ndsnn::sparse::parse_nm(nm_spec);
     const auto report = ndsnn::core::project_network_nm(*exp.network, pattern);
@@ -504,9 +497,10 @@ int main(int argc, char** argv) {
   }
 
   // 4. Compile the masked network into an immutable sparse inference
-  // plan; the kernel heuristic lowers structured layers to BCSR,
-  // unstructured ones to CSR, and spike-fed layers to the event path
-  // (the training run recorded per-layer firing rates it plans on).
+  // plan; the kernel heuristic lowers sparse layers (N:M-projected or
+  // not) to CSR, the rest to dense GEMM, and spike-fed layers to the
+  // event path (the training run recorded per-layer firing rates it
+  // plans on).
   const auto plan = ndsnn::runtime::CompiledNetwork::compile(*exp.network, opts);
   std::printf("%s\n", plan.summary().c_str());
 

@@ -4,13 +4,13 @@
 // N:M patterns. This pass projects every prunable weight tensor of a
 // trained network onto the pattern in place (keeping the N largest
 // magnitudes per group of M) and reports the magnitude mass each layer
-// loses — the accuracy-relevant damage of the projection. Projection
-// pushes lowered weight matrices toward block occupancy ~n/m (for
-// weights that were dense before projecting), so patterns at or above
-// ~2:4 clear the CompileOptions::bcsr_min_occupancy bar and compile
-// onto the runtime's block-CSR kernels automatically; sparser patterns
-// (1:4) and already-highly-sparse networks measure lower occupancy and
-// correctly stay on element-wise CSR.
+// loses — the accuracy-relevant damage of the projection. A projected
+// network compiles like any other: the pattern fixes each layer's
+// sparsity near 1 - n/m (exactly, when its element count is a multiple
+// of m), so 2:4 and sparser patterns meet the default
+// CompileOptions::min_sparsity (0.5) and run on the runtime's
+// element-wise CSR kernels; a 2:4 layer whose short tail group leaves
+// it just under 0.5 stays dense.
 #pragma once
 
 #include <string>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <initializer_list>
 #include <memory>
 #include <stdexcept>
@@ -9,7 +10,6 @@
 
 #include "nn/batchnorm.hpp"
 #include "nn/checkpoint.hpp"
-#include "runtime/autotune.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/flatten.hpp"
 #include "nn/lif_activation.hpp"
@@ -25,7 +25,6 @@
 #include "runtime/ops/neuron_ops.hpp"
 #include "runtime/ops/shape_ops.hpp"
 #include "snn/spike_stats.hpp"
-#include "sparse/bcsr.hpp"
 #include "tensor/ops.hpp"
 #include "util/thread_pool.hpp"
 
@@ -92,20 +91,21 @@ struct Lowering {
   }
 };
 
-/// The weight-kernel cost heuristic: dense below the sparsity bar, then
-/// BCSR when the measured pattern (sparse::Bcsr::measure_weights — the
-/// same scan the format itself uses, without materializing block
-/// storage) is blocky enough that dense micro-blocks beat per-element
-/// indexing, else CSR. A forced CompileOptions::backend short-circuits
-/// the measurement.
+/// The weight-kernel cost heuristic: dense below the sparsity bar, else
+/// CSR. Sparsity counts the entries with |w| > prune_threshold — the
+/// same strict rule sparse::Csr::from_weights keeps — so a CSR layer's
+/// nnz is exactly the count measured here. A forced
+/// CompileOptions::backend short-circuits the measurement.
 Kernel pick_kernel(const Tensor& weight, const CompileOptions& opts) {
-  if (opts.force_dense || opts.backend == Backend::kDense) return Kernel::kDense;
+  if (opts.backend == Backend::kDense) return Kernel::kDense;
   if (opts.backend == Backend::kCsr) return Kernel::kCsr;
-  if (opts.backend == Backend::kBcsr) return Kernel::kBcsr;
-  const sparse::BcsrStats stats = sparse::Bcsr::measure_weights(
-      weight, opts.block_rows, opts.block_cols, opts.prune_threshold);
-  if (stats.sparsity() < opts.min_sparsity) return Kernel::kDense;
-  return stats.occupancy() >= opts.bcsr_min_occupancy ? Kernel::kBcsr : Kernel::kCsr;
+  const float* w = weight.data();
+  const int64_t total = weight.numel();
+  int64_t nnz = 0;
+  for (int64_t i = 0; i < total; ++i) nnz += std::fabs(w[i]) > opts.prune_threshold;
+  const double sparsity =
+      total == 0 ? 0.0 : 1.0 - static_cast<double>(nnz) / static_cast<double>(total);
+  return sparsity < opts.min_sparsity ? Kernel::kDense : Kernel::kCsr;
 }
 
 /// The value-plane precision heuristic. Quantised planes live on the
@@ -150,46 +150,6 @@ sparse::Precision pick_precision(const Tensor& weight, Kernel kernel, bool unifo
   return sparse::Precision::kFp32;
 }
 
-/// The {kernel, precision, per-layer options} one weight layer lowers
-/// with. Bundled because autotuning overrides pieces of the
-/// CompileOptions copy the op receives (block shape, kernel tier) and
-/// the report must stay truthful about whether a measurement decided.
-struct WeightLowering {
-  Kernel kernel = Kernel::kDense;
-  sparse::Precision precision = sparse::Precision::kFp32;
-  CompileOptions opts;  ///< per-layer copy the op constructor consumes
-};
-
-/// Static-heuristic or measured lowering for one weight layer.
-/// Autotune applies only where the probe measures what the op will run:
-/// dense-activation layers under an unforced backend. Everything else
-/// (event path, forced backends) takes the heuristics, with the copied
-/// autotune flag cleared so OpReport::autotuned never lies.
-WeightLowering lower_weight_layer(const Tensor& weight, bool event, bool uniform_error,
-                                  AutotuneProbe probe, Lowering& lw) {
-  const CompileOptions& opts = lw.opts;
-  WeightLowering out;
-  out.opts = opts;
-  const bool tune =
-      opts.autotune && !event && !opts.force_dense && opts.backend == Backend::kAuto;
-  if (tune) {
-    // Calibrate the value-plane precision first (against the CSR
-    // scheme — the dense candidate ignores precision, and the grouped
-    // knob only deploys on CSR), then measure the candidates with it.
-    out.precision = pick_precision(weight, Kernel::kCsr, uniform_error, lw);
-    const AutotuneChoice choice = autotune_layer(weight, out.precision, probe, opts);
-    out.kernel = choice.kernel;
-    out.opts.block_rows = choice.block_rows;
-    out.opts.block_cols = choice.block_cols;
-    out.opts.kernel_tier = choice.tier;
-    return out;
-  }
-  out.opts.autotune = false;
-  out.kernel = pick_kernel(weight, opts);
-  out.precision = pick_precision(weight, out.kernel, uniform_error, lw);
-  return out;
-}
-
 std::unique_ptr<Op> compile_layer(const nn::Layer& layer, Lowering& lw);
 
 std::vector<std::unique_ptr<Op>> compile_chain(
@@ -213,24 +173,22 @@ std::unique_ptr<Op> compile_layer(const nn::Layer& layer, Lowering& lw) {
     lw.any_event |= event;
     lw.now_dense();
     if (lw.dry) return nullptr;
+    const Kernel kernel = pick_kernel(linear->weight(), lw.opts);
     // Event-path LinearOp builds a uniform-scale plane; measure that.
-    const WeightLowering wl = lower_weight_layer(linear->weight(), event,
-                                                 /*uniform_error=*/event,
-                                                 AutotuneProbe::kSpmmT, lw);
-    return std::make_unique<LinearOp>(*linear, wl.kernel, wl.precision, event, wl.opts,
-                                      lw.pool);
+    const sparse::Precision precision =
+        pick_precision(linear->weight(), kernel, /*uniform_error=*/event, lw);
+    return std::make_unique<LinearOp>(*linear, kernel, precision, event, lw.opts, lw.pool);
   }
   if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&layer)) {
     const bool event = lw.event_for_weight_layer();
     lw.any_event |= event;
     lw.now_dense();
     if (lw.dry) return nullptr;
-    // Conv structures keep per-row/per-block scales on every path.
-    const WeightLowering wl = lower_weight_layer(conv->weight(), event,
-                                                 /*uniform_error=*/false,
-                                                 AutotuneProbe::kSpmm, lw);
-    return std::make_unique<ConvOp>(*conv, wl.kernel, wl.precision, event, wl.opts,
-                                    lw.pool);
+    const Kernel kernel = pick_kernel(conv->weight(), lw.opts);
+    // Conv structures keep per-row scales on every path.
+    const sparse::Precision precision =
+        pick_precision(conv->weight(), kernel, /*uniform_error=*/false, lw);
+    return std::make_unique<ConvOp>(*conv, kernel, precision, event, lw.opts, lw.pool);
   }
   if (const auto* bn = dynamic_cast<const nn::BatchNorm2d*>(&layer)) {
     lw.now_dense();  // the affine shift makes zeros non-zero
@@ -323,16 +281,10 @@ CompiledNetwork CompiledNetwork::compile(const nn::SpikingNetwork& net,
   if (opts.min_sparsity < 0.0 || opts.min_sparsity > 1.0) {
     throw std::invalid_argument("CompiledNetwork: min_sparsity must be in [0, 1]");
   }
-  if (opts.block_rows < 1 || opts.block_cols < 1) {
-    throw std::invalid_argument("CompiledNetwork: block dims must be >= 1");
-  }
-  if (opts.bcsr_min_occupancy < 0.0 || opts.bcsr_min_occupancy > 1.0) {
-    throw std::invalid_argument("CompiledNetwork: bcsr_min_occupancy must be in [0, 1]");
-  }
   if (opts.prune_threshold < 0.0F) {
     // Reject up front: under kAuto a negative threshold would otherwise
     // measure every layer as fully dense and silently compile no sparse
-    // kernels at all, instead of failing in Csr/Bcsr::from_dense.
+    // kernels at all, instead of failing in Csr::from_dense.
     throw std::invalid_argument("CompiledNetwork: prune_threshold must be >= 0");
   }
   if (opts.event_max_rate < 0.0 || opts.event_max_rate > 1.0 ||

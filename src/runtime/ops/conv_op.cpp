@@ -21,7 +21,6 @@ ConvOp::ConvOp(const nn::Conv2d& src, Kernel kernel, sparse::Precision precision
       gemm_(kernel),
       pool_(std::move(pool)),
       tier_(util::simd::resolve(opts.kernel_tier)),
-      autotuned_(opts.autotune),
       precision_(kernel == Kernel::kDense ? sparse::Precision::kFp32 : precision),
       event_(event),
       has_bias_(src.has_bias()),
@@ -53,24 +52,6 @@ ConvOp::ConvOp(const nn::Conv2d& src, Kernel kernel, sparse::Precision precision
         bytes_ = csr_.memory_bytes();
       }
       break;
-    case Kernel::kBcsr:
-      if (event_) {
-        bcsr_t_ = sparse::Bcsr::from_weights(src.weight(), opts.block_rows, opts.block_cols,
-                                             opts.prune_threshold)
-                      .transposed();
-        (void)bcsr_t_.quantize(precision_);
-        if (opts.fake_quant) bcsr_t_.dequantize();
-        stored_ = bcsr_t_.stored_values();
-        bytes_ = bcsr_t_.memory_bytes();
-      } else {
-        bcsr_ = sparse::Bcsr::from_weights(src.weight(), opts.block_rows, opts.block_cols,
-                                           opts.prune_threshold);
-        (void)bcsr_.quantize(precision_);
-        if (opts.fake_quant) bcsr_.dequantize();
-        stored_ = bcsr_.stored_values();
-        bytes_ = bcsr_.memory_bytes();
-      }
-      break;
     case Kernel::kDense: {
       const int64_t ckk = in_channels_ * kernel_ * kernel_;
       if (event_) {
@@ -99,17 +80,6 @@ ConvOp::ConvOp(const nn::Conv2d& src, Kernel kernel, sparse::Precision precision
       case Kernel::kCsr:
         for (const int32_t f : csr_t_.col_idx()) ++prefix[static_cast<std::size_t>(f) + 1];
         break;
-      case Kernel::kBcsr: {
-        const int64_t bc = bcsr_t_.block_cols();
-        for (const int32_t jb : bcsr_t_.block_col_idx()) {
-          const int64_t f_begin = static_cast<int64_t>(jb) * bc;
-          const int64_t f_end = std::min(f_begin + bc, out_channels_);
-          for (int64_t f = f_begin; f < f_end; ++f) {
-            prefix[static_cast<std::size_t>(f) + 1] += bcsr_t_.block_rows();
-          }
-        }
-        break;
-      }
       case Kernel::kDense:
         for (int64_t f = 0; f < out_channels_; ++f) {
           prefix[static_cast<std::size_t>(f) + 1] = in_channels_ * kernel_ * kernel_;
@@ -181,9 +151,8 @@ Tensor ConvOp::run_dense(const Tensor& input) const {
                             filters);
   } else {
     util::ThreadPool* pool = pool_.get();
-    const Tensor yflat = gemm_ == Kernel::kCsr    ? csr_.spmm(cols, pool, tier_)
-                         : gemm_ == Kernel::kBcsr ? bcsr_.spmm(cols, pool, tier_)
-                                                  : tensor::matmul(dense_, cols, pool, tier_);
+    const Tensor yflat = gemm_ == Kernel::kCsr ? csr_.spmm(cols, pool, tier_)
+                                               : tensor::matmul(dense_, cols, pool, tier_);
     // Transpose [F, (m, oy, ox)] -> [m, F, oy, ox].
     const float* src = yflat.data();
     float* dst = out.data();
@@ -243,13 +212,6 @@ void ConvOp::event_scatter(const Tensor& in, const SpikeBatch& events, Tensor& o
                 csr_t_.scatter_row(col, v, obegin, plane);
               } else {
                 csr_t_.scatter_row_range(col, v, obegin, plane, f0, f1);
-              }
-              break;
-            case Kernel::kBcsr:
-              if (full) {
-                bcsr_t_.scatter_row(col, v, obegin, plane);
-              } else {
-                bcsr_t_.scatter_row_range(col, v, obegin, plane, f0, f1);
               }
               break;
             case Kernel::kDense: {
@@ -320,7 +282,6 @@ OpReport ConvOp::report() const {
   OpReport r{layer_name_, std::string(kernel_tag(gemm_)) + "-conv", weights_, stored_,
              source_sparsity_, event_, precision_, bytes_};
   r.tier = tier_;
-  r.autotuned = autotuned_;
   return r;
 }
 

@@ -14,7 +14,6 @@ const char* kernel_tag(Kernel k) {
   switch (k) {
     case Kernel::kDense: return "dense";
     case Kernel::kCsr: return "csr";
-    case Kernel::kBcsr: return "bcsr";
   }
   return "?";
 }
@@ -89,7 +88,7 @@ std::string Plan::summary() const {
       os << " " << sparse::precision_tag(r.precision);
     }
     if (r.weights > 0) {
-      os << " " << util::simd::name(r.tier) << (r.autotuned ? "*" : "");
+      os << " " << util::simd::name(r.tier);
     }
     os << "] " << r.layer;
     if (r.weights > 0) {

@@ -145,16 +145,6 @@ QuantPlane quantize_grouped(const float* values, const int64_t* group_ptr, int64
                      });
 }
 
-QuantPlane quantize_fixed(const float* values, int64_t groups, int64_t group_size,
-                          Precision precision, bool symmetric, float* max_abs_error,
-                          bool uniform_scale) {
-  return build_plane(values, groups, groups * group_size, precision, symmetric,
-                     max_abs_error, uniform_scale, [group_size](int64_t g) {
-                       return std::pair<int64_t, int64_t>{g * group_size,
-                                                          (g + 1) * group_size};
-                     });
-}
-
 float relative_quant_error(const tensor::Tensor& weights, Precision precision,
                            float threshold, bool uniform_scale, int64_t group_size) {
   if (precision == Precision::kFp32 || weights.numel() == 0) return 0.0F;

@@ -18,8 +18,8 @@ Tier probe() {
 #endif
   return Tier::kVector;
 #elif defined(__aarch64__)
-  // NEON is architectural on AArch64; the vector-extension bodies (and
-  // the guarded NEON blocks in simd_kernels) compile to it directly.
+  // NEON is architectural on AArch64; the autovectorized bodies compile
+  // to it directly.
   return Tier::kVector;
 #else
   return Tier::kScalar;

@@ -5,10 +5,10 @@
 //
 //   kScalar — portable C++ loops (whatever the compiler autovectorizes;
 //             the bitwise reference semantics).
-//   kVector — the gcc-vector-extension strip-mined paths (Bcsr::spmm's
-//             vfs workers). Kernels without a dedicated vector body run
-//             their scalar body at this tier; the two tiers are then
-//             the same code.
+//   kVector — the slot for gcc-vector-extension strip-mined bodies.
+//             No kernel has a dedicated vector body today, so every
+//             kernel runs its scalar body at this tier; the two tiers
+//             are then the same code.
 //   kAvx2   — hand-written AVX2(+FMA) intrinsic bodies, compiled with
 //             `__attribute__((target("avx2,fma")))` so the binary still
 //             runs on pre-AVX2 x86 (the tier is simply never selected

@@ -1,8 +1,8 @@
 // CompiledNetwork must reproduce SpikingNetwork::predict on the zoo
 // models, dense and sparse, across T timesteps — plus the backend
-// selection logic: heuristic kernel choice (measured occupancy routes
-// blocky masks to BCSR and N:M patterns to CSR), forced backends, and
-// the structured deployment paths. Scenario plumbing (masking, warm-up,
+// selection logic: heuristic kernel choice (measured weight sparsity
+// against min_sparsity picks dense or CSR), forced backends, and the
+// structured deployment paths. Scenario plumbing (masking, warm-up,
 // bitwise comparison) comes from the differential harness.
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include "nn/checkpoint.hpp"
 #include "nn/models/zoo.hpp"
 #include "runtime/compiled_network.hpp"
+#include "sparse/csr.hpp"
 #include "testing.hpp"
 #include "tensor/random.hpp"
 
@@ -53,10 +54,9 @@ TEST(CompiledNetworkTest, LenetSparseMatchesInterpreted) {
   const CompiledNetwork compiled = CompiledNetwork::compile(*net);
   expect_bitwise(compiled.run(batch), expect, "lenet 0.9 sparse, auto backend");
 
-  // The plan actually went sparse: LeNet has 3 linear + 2 conv layers.
-  // An unstructured 0.9 mask has low block occupancy, so auto = CSR.
+  // The plan actually went sparse: LeNet has 3 linear + 2 conv layers,
+  // all above min_sparsity, so auto = CSR.
   EXPECT_EQ(count_kinds(compiled, "csr-linear", "csr-conv"), 5);
-  EXPECT_EQ(count_kinds(compiled, "bcsr-linear", "bcsr-conv"), 0);
   EXPECT_GT(compiled.overall_sparsity(), 0.85);
 }
 
@@ -71,7 +71,7 @@ TEST(CompiledNetworkTest, LenetDensePlanMatchesInterpreted) {
 
   const Tensor expect = net->predict(batch);
   CompileOptions opts;
-  opts.force_dense = true;
+  opts.backend = Backend::kDense;
   const CompiledNetwork compiled = CompiledNetwork::compile(*net, opts);
   expect_bitwise(compiled.run(batch), expect, "lenet dense plan");
   for (const auto& r : compiled.plan()) {
@@ -114,11 +114,10 @@ TEST(CompiledNetworkTest, ResnetSparseMatchesInterpreted) {
   EXPECT_TRUE(has_residual);
 }
 
-// Heuristic regression pin (PR 5): BENCH_sparse_inference.json measured
-// BCSR *losing* to CSR end to end on N:M patterns at these layer sizes
-// (2:4 0.78x, 1:4 0.65x) while winning on genuinely blocky ~1.0-occupancy
-// masks (+12%), so the measured-occupancy crossover sits above 0.5. This
-// test pins both sides of it.
+// An N:M projection fixes a layer's sparsity at 1 - n/m when its element
+// count is a multiple of m (conv1's 150 elements end in a 2-element tail
+// group that keeps 1, also exactly half), so 2:4 meets the default
+// min_sparsity bar and every LeNet weight layer lowers to CSR.
 TEST(CompiledNetworkTest, NmProjectedNetworkAutoStaysCsr) {
   nn::ModelSpec spec;
   spec.in_channels = 1;
@@ -134,34 +133,70 @@ TEST(CompiledNetworkTest, NmProjectedNetworkAutoStaysCsr) {
   const Tensor expect = net->predict(batch);
   const CompiledNetwork compiled = CompiledNetwork::compile(*net);
   expect_bitwise(compiled.run(batch), expect, "lenet 2:4 projected");
-
-  // A 2:4 pattern fills occupied blocks ~50%: below the measured
-  // end-to-end crossover, so every weight layer stays CSR.
   EXPECT_EQ(count_kinds(compiled, "csr-linear", "csr-conv"), 5);
-  EXPECT_EQ(count_kinds(compiled, "bcsr-linear", "bcsr-conv"), 0);
 }
 
-TEST(CompiledNetworkTest, BlockMaskedNetworkAutoCompilesToBcsr) {
+/// Overwrite every prunable weight (N elements, even for this LeNet)
+/// with N/2 - `short_of_half` exact zeros, then `at_threshold` entries
+/// of value -tau, then +-0.5.
+void shape_weights(nn::SpikingNetwork& net, int64_t short_of_half, int64_t at_threshold,
+                   float tau) {
+  for (const auto& p : net.params()) {
+    if (!p.prunable) continue;
+    const int64_t n = p.value->numel();
+    ASSERT_EQ(n % 2, 0) << p.name;
+    const int64_t zeros = n / 2 - short_of_half;
+    float* w = p.value->data();
+    for (int64_t i = 0; i < n; ++i) {
+      w[i] = i < zeros                  ? 0.0F
+             : i < zeros + at_threshold ? -tau
+                                        : (i % 2 == 0 ? 0.5F : -0.5F);
+    }
+  }
+}
+
+// The kAuto sparsity test counts |w| > prune_threshold, the rule
+// Csr::from_weights keeps: a layer whose counted sparsity equals
+// min_sparsity lowers to CSR, one more surviving entry lowers it to
+// dense, and an entry sitting exactly at a nonzero threshold counts as
+// pruned.
+TEST(CompiledNetworkTest, MinSparsityBoundaryUsesStrictThresholdCount) {
   nn::ModelSpec spec;
   spec.in_channels = 1;
   spec.image_size = 16;
-  spec.timesteps = 2;
+  spec.timesteps = 1;
   const auto net = nn::make_lenet5(spec);
-  difftest::apply_block_masks(*net, /*keep=*/0.25, 53);
-  const Tensor batch = random_batch(2, 1, 16, 54);
-  warm_up(*net, batch);
+  const Tensor batch = random_batch(2, 1, 16, 55);
 
-  const Tensor expect = net->predict(batch);
-  const CompiledNetwork compiled = CompiledNetwork::compile(*net);
-  expect_bitwise(compiled.run(batch), expect, "lenet 4x4 block mask");
+  // Exactly half zero: sparsity == min_sparsity (0.5) -> CSR.
+  shape_weights(*net, /*short_of_half=*/0, /*at_threshold=*/0, 0.0F);
+  const CompiledNetwork at_bar = CompiledNetwork::compile(*net);
+  EXPECT_EQ(count_kinds(at_bar, "csr-linear", "csr-conv"), 5);
+  expect_bitwise(at_bar.run(batch), net->predict(batch), "sparsity at the bar");
 
-  // Aligned layers (the three fc weights are multiples of 4 on both
-  // axes) measure ~1.0 occupancy and go BCSR; layers whose edge-padded
-  // blocks drag the measured occupancy under the bar (conv1 [6, 25])
-  // legitimately stay CSR — the crossover is per layer, per measurement.
-  EXPECT_GE(count_kinds(compiled, "bcsr-linear", "bcsr-conv"), 3);
-  const std::string text = compiled.summary();
-  EXPECT_NE(text.find("bcsr-"), std::string::npos);
+  // One zero short of half: sparsity 0.5 - 1/N -> dense.
+  constexpr float kTau = 0.01F;
+  shape_weights(*net, /*short_of_half=*/1, /*at_threshold=*/1, kTau);
+  const CompiledNetwork below_bar = CompiledNetwork::compile(*net);
+  EXPECT_EQ(count_kinds(below_bar, "dense-linear", "dense-conv"), 5);
+  expect_bitwise(below_bar.run(batch), net->predict(batch), "sparsity below the bar");
+
+  // The -tau entry is not > tau, so prune_threshold = tau puts every
+  // layer back on the bar, and each CSR op stores exactly the
+  // Csr::from_weights count.
+  CompileOptions opts;
+  opts.prune_threshold = kTau;
+  const CompiledNetwork pruned = CompiledNetwork::compile(*net, opts);
+  EXPECT_EQ(count_kinds(pruned, "csr-linear", "csr-conv"), 5);
+  std::size_t op = 0;
+  for (const auto& p : net->params()) {
+    if (!p.prunable) continue;
+    while (pruned.plan()[op].weights == 0) ++op;
+    const OpReport& r = pruned.plan()[op++];
+    ASSERT_EQ(r.weights, p.value->numel()) << r.layer;
+    EXPECT_EQ(r.nnz, sparse::Csr::from_weights(*p.value, kTau).nnz()) << r.layer;
+    EXPECT_EQ(r.nnz, p.value->numel() / 2) << r.layer;
+  }
 }
 
 TEST(CompiledNetworkTest, ForcedBackendOverridesHeuristic) {
@@ -175,7 +210,7 @@ TEST(CompiledNetworkTest, ForcedBackendOverridesHeuristic) {
   warm_up(*net, batch);
   const Tensor expect = net->predict(batch);
 
-  for (const Backend backend : {Backend::kDense, Backend::kCsr, Backend::kBcsr}) {
+  for (const Backend backend : {Backend::kDense, Backend::kCsr}) {
     CompileOptions opts;
     opts.backend = backend;
     const CompiledNetwork compiled = CompiledNetwork::compile(*net, opts);
@@ -196,7 +231,7 @@ TEST(CompiledNetworkTest, ForcedEventActivationMatchesInterpretedOnAllBackends) 
   warm_up(*net, batch);
   const Tensor expect = net->predict(batch);
 
-  for (const Backend backend : {Backend::kDense, Backend::kCsr, Backend::kBcsr}) {
+  for (const Backend backend : {Backend::kDense, Backend::kCsr}) {
     CompileOptions opts;
     opts.backend = backend;
     opts.activation_mode = ActivationMode::kEvent;
@@ -353,12 +388,6 @@ TEST(CompiledNetworkTest, RejectsBadOptions) {
   spec.timesteps = 1;
   const auto net = nn::make_lenet5(spec);
   CompileOptions opts;
-  opts.block_rows = 0;
-  EXPECT_THROW((void)CompiledNetwork::compile(*net, opts), std::invalid_argument);
-  opts = {};
-  opts.bcsr_min_occupancy = 1.5;
-  EXPECT_THROW((void)CompiledNetwork::compile(*net, opts), std::invalid_argument);
-  opts = {};
   opts.min_sparsity = -0.1;
   EXPECT_THROW((void)CompiledNetwork::compile(*net, opts), std::invalid_argument);
   opts = {};

@@ -12,7 +12,6 @@
 #include <cstring>
 #include <vector>
 
-#include "sparse/bcsr.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/simd_kernels.hpp"
 #include "tensor/matmul.hpp"
@@ -116,22 +115,6 @@ TEST(SimdTierTest, CsrSpmmBitwiseAcrossTiers) {
       expect_bitwise(csr.spmm(b, nullptr, tier), ref, "csr spmm serial");
       expect_bitwise(csr.spmm(b, &pool, tier), ref, "csr spmm pooled");
     }
-  }
-}
-
-TEST(SimdTierTest, BcsrSpmmAndSpmmTBitwiseAcrossTiers) {
-  const Tensor w = sparse_matrix(96, 128, 0.75, 21);
-  const Bcsr bcsr = Bcsr::from_dense(w, 4, 4);
-  util::ThreadPool pool(3);
-  const Tensor bt = dense_batch(13, 128, 17);
-  const Tensor ref_t = bcsr.spmm_t(bt, nullptr, Tier::kScalar);
-  const Tensor bs = dense_batch(128, 24, 19);
-  const Tensor ref_s = bcsr.spmm(bs, nullptr, Tier::kScalar);
-  for (const Tier tier : kTiers) {
-    expect_bitwise(bcsr.spmm_t(bt, nullptr, tier), ref_t, "bcsr spmm_t serial");
-    expect_bitwise(bcsr.spmm_t(bt, &pool, tier), ref_t, "bcsr spmm_t pooled");
-    expect_bitwise(bcsr.spmm(bs, nullptr, tier), ref_s, "bcsr spmm serial");
-    expect_bitwise(bcsr.spmm(bs, &pool, tier), ref_s, "bcsr spmm pooled");
   }
 }
 

@@ -23,9 +23,9 @@ TOLERANCE is 30% (noisy-box tolerant): the point is to catch a kernel
 or heuristic change that halves the sparse win, not to chase scheduler
 jitter.
 
-Schema evolution: the bench JSON grows a section per PR (structured,
-quant_kernel, executor, op_breakdown, ...). Sections this script does
-not know about are IGNORED, so adding a section never breaks the gate
+Schema evolution: the bench JSON grows a section per PR (quant_kernel,
+executor, op_breakdown, ...). Sections this script does not know about
+are IGNORED, so adding or dropping such a section never breaks the gate
 and a fresh bench can be compared against an older snapshot. The
 inverse is not tolerated: if a section this script *requires* is
 missing from either document, that is a schema break (a bench refactor
@@ -306,11 +306,6 @@ def main(argv):
 
     if not check_kernel_tiers(fresh):
         failed = True
-    autotune = fresh.get("autotune", {})
-    if autotune:
-        print(f"info: autotune compile cold {autotune.get('compile_cold_ms', 0):.1f} ms, "
-              f"warm {autotune.get('compile_warm_ms', 0):.1f} ms, "
-              f"plan speedup {autotune.get('autotune_speedup', 0):.2f}x")
 
     # Informational (not gated: thread/coalescing wins are core-count
     # bound and the snapshot may come from a smaller box than CI).
