@@ -10,7 +10,7 @@
 //
 //   1. fixed_load — the same offered rate (60% of one worker's
 //      measured saturation throughput, so even one worker can keep up)
-//      replayed against 1, 2 and 4 request workers with coalescing on.
+//      replayed against 1, 2 and 4 request workers.
 //      On a healthy scheduler, p50 stays flat or falls as workers are
 //      added; the pre-PR-7 pop-and-hold FIFO *inverted* this curve
 //      (BENCH_sparse_inference.json: p50 3.3 ms -> 14.1 ms from 1 to 4
@@ -152,10 +152,7 @@ int main(int argc, char** argv) {
   json.key("fixed_load").begin_array();
   double p50_1w = 0.0, p50_max_w = 0.0;
   for (int w = 1; w <= threads; w *= 2) {
-    ExecutorOptions eopts;
-    eopts.max_coalesce = 32;  // exercise the hold-open path the old
-    eopts.max_wait_us = 200;  // scheduler head-of-line blocked on
-    BatchExecutor exec(plan, w, eopts);
+    BatchExecutor exec(plan, w);
     (void)exec.submit(sample).get();  // warm this pool
     LoadgenOptions lopts;
     lopts.offered_rps = fixed_rps;
@@ -186,8 +183,6 @@ int main(int argc, char** argv) {
   json.key("slo_sweep").begin_array();
   for (const double factor : {0.5, 0.8, 1.5}) {
     ExecutorOptions eopts;
-    eopts.max_coalesce = 32;
-    eopts.max_wait_us = 200;
     eopts.slo_ms = slo_ms;
     BatchExecutor exec(plan, threads, eopts);
     (void)exec.submit(sample).get();

@@ -15,11 +15,10 @@
 // document (the schema CI uploads as an artifact and the checked-in
 // BENCH_sparse_inference.json snapshot records). New in PR 5: a
 // threads x kernel sweep (row-partitioned CSR spmm/spmm_t through the
-// shared util::ThreadPool) and a threads x coalescing executor sweep
-// under 64 concurrent single-sample requests. New in PR 6: an
-// op_breakdown section (PlanProfile per-op mean/p50/p95 latency, runs,
-// observed firing rate, and share of plan time on the 0.95 auto plan). Thread speedups are only
-// meaningful on a multi-core box (the checked-in snapshot was refreshed
+// shared util::ThreadPool). New in PR 6: an op_breakdown section
+// (PlanProfile per-op mean/p50/p95 latency, runs, observed firing rate,
+// and share of plan time on the 0.95 auto plan). Thread speedups are
+// only meaningful on a multi-core box (the checked-in snapshot was refreshed
 // on a 1-core container, where they sit at ~1x by construction; the CI
 // runners report the real numbers).
 #include <algorithm>
@@ -489,83 +488,6 @@ int main(int argc, char** argv) {
   }
   json.end_array();
   serve.print();
-
-  // Adaptive coalescing under many concurrent *single-sample* requests:
-  // the worst case for per-run fixed costs. The executor fuses queued
-  // requests into one time-major pass (bitwise identical to solo runs),
-  // so throughput approaches the batched rate. The coalescing rows use
-  // a plan compiled with num_threads = 0 (hardware concurrency: fused
-  // passes get the machine's real lanes, a 1-core box stays serial) and
-  // a total budget of --threads, so inter-request vs intra-op splitting
-  // is exercised too; intra_lanes in the JSON records what the plan
-  // actually got.
-  const int single_requests = 64;
-  std::printf(
-      "\nrequest coalescing, %d concurrent single-sample requests at 0.95 sparsity:\n",
-      single_requests);
-  {
-    ndsnn::runtime::CompileOptions pooled_opts;
-    // 0 = hardware concurrency: fused passes use the machine's real
-    // lanes (on a 1-core box the plan stays serial instead of
-    // oversubscribing, and the comparison measures pure batching).
-    pooled_opts.num_threads = 0;
-    const CompiledNetwork pooled_plan = CompiledNetwork::compile(*net, pooled_opts);
-    std::vector<Tensor> singles;
-    Rng srng(987);
-    for (int r = 0; r < single_requests; ++r) {
-      Tensor one(Shape{1, spec.in_channels, spec.image_size, spec.image_size});
-      one.fill_uniform(srng, 0.0F, 1.0F);
-      singles.push_back(std::move(one));
-    }
-    ndsnn::util::Table co({"threads", "coalesce", "total ms", "samples/s", "p50 ms",
-                           "p95 ms", "fused"});
-    double base_sps = 0.0, coalesce_speedup = 0.0;
-    json.key("coalescing").begin_array();
-    for (const bool coalesce : {false, true}) {
-      ndsnn::runtime::ExecutorOptions eopts;
-      if (coalesce) {
-        // Fuse to the same batch size the batched sweep above runs at:
-        // that is the per-sample rate coalescing is meant to approach.
-        eopts.max_coalesce = batch_size;
-        eopts.max_wait_us = 200;
-      }
-      // Warm the plan/pool on a throwaway executor so the measured
-      // executor's stats hold exactly the 64 timed requests.
-      {
-        BatchExecutor warm(pooled_plan, threads, eopts);
-        (void)warm.submit(singles[0]).get();
-      }
-      BatchExecutor exec(pooled_plan, threads, eopts);
-      const ndsnn::util::Stopwatch sw;
-      (void)exec.run_all(singles);
-      const double ms = sw.millis();
-      const double sps = 1e3 * single_requests / ms;
-      if (!coalesce) base_sps = sps;
-      if (coalesce) coalesce_speedup = sps / base_sps;
-      const ndsnn::runtime::ExecutorStats stats = exec.stats();
-      co.add_row({std::to_string(threads), coalesce ? "on" : "off",
-                  ndsnn::util::fmt(ms, 1), ndsnn::util::fmt(sps, 0),
-                  ndsnn::util::fmt(stats.p50_ms, 2), ndsnn::util::fmt(stats.p95_ms, 2),
-                  std::to_string(stats.coalesced_requests) + "/" +
-                      std::to_string(stats.requests)});
-      json.begin_object();
-      json.kv("threads", threads);
-      json.kv("intra_lanes", pooled_plan.intra_op_threads());
-      json.kv("coalesce", coalesce);
-      json.kv("total_ms", ms);
-      json.kv("samples_per_s", sps);
-      json.kv("p50_ms", stats.p50_ms);
-      json.kv("p95_ms", stats.p95_ms);
-      json.kv("fused_batches", stats.fused_batches);
-      json.kv("coalesced_requests", stats.coalesced_requests);
-      json.end_object();
-    }
-    json.end_array();
-    co.print();
-    std::printf("coalescing speedup at %d threads: %.2fx %s\n", threads, coalesce_speedup,
-                coalesce_speedup >= 2.0 ? "(>= 2x target met)" : "(below 2x target!)");
-    json.kv("coalesce_speedup", coalesce_speedup);
-  }
 
   // Per-op breakdown through the PlanProfile aggregation hooks: where
   // the 0.95-sparsity auto plan actually spends its time, and the

@@ -2,22 +2,19 @@
 // the whole-window baseline — the regression gate for the streaming
 // subsystem.
 //
-//   ./bench/streaming_latency [--frames 32] [--batch 4] [--threads 2]
+//   ./bench/streaming_latency [--frames 32] [--batch 4]
 //                             [--silent-every 2] [--seed 42]
 //                             [--json out.json]
 //
 // One masked LeNet plan (this bench measures the streaming machinery,
-// not kernels). A window of --frames input frames is fed three ways:
+// not kernels). A window of --frames input frames is fed two ways:
 //
 //   1. whole-window — the frames are concatenated time-major and run
 //      through Plan::execute in one pass, the way CompiledNetwork::run
 //      works. Every event's result only exists when the WHOLE window
 //      has finished: per-event latency == window latency.
-//   2. streamed (serial) — a StreamSession consumes one frame per
-//      step() call; each event's latency is its own step's wall time.
-//   3. streamed (pipelined) — run_steps() overlaps stages across steps
-//      on --threads pipeline lanes; per-event latency is submission ->
-//      that step's completion.
+//   2. streamed — a StreamSession consumes one frame per step() call;
+//      each event's latency is its own step's wall time.
 //
 // Every --silent-every'th frame is all-zero (an event camera emitting
 // nothing), which the delta path must turn into skipped weight ops —
@@ -28,7 +25,6 @@
 //     point of streaming; holds structurally on any core count),
 //   - delta_skips > 0 (the delta path must actually fire),
 //   - streamed outputs must match the whole-window pass bitwise.
-// Pipelining speedup is informational below 4 cores.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -105,7 +101,6 @@ int main(int argc, char** argv) {
   const ndsnn::util::Cli cli(argc, argv);
   const int frames_n = cli.get_int("--frames", 32);
   const int batch = cli.get_int("--batch", 4);
-  const int threads = cli.get_int("--threads", 2);
   const int silent_every = cli.get_int("--silent-every", 2);
   const auto seed = static_cast<uint64_t>(cli.get_int("--seed", 42));
   const std::string json_path = cli.get_string("--json", "");
@@ -142,7 +137,7 @@ int main(int argc, char** argv) {
     whole_window_ms = sw.millis();
   }
 
-  // --- 2. Streamed, serial: one step() per frame. ---
+  // --- 2. Streamed: one step() per frame. ---
   StreamSession serial(plan);
   (void)serial.step(frames[0]);  // warm (populates nothing persistent-
   serial.reset();                // state-wise after the reset)
@@ -154,17 +149,6 @@ int main(int argc, char** argv) {
     streamed_out.push_back(std::move(r.logits));
   }
   const int64_t delta_skips = serial.delta_skips();
-
-  // --- 3. Streamed, pipelined: run_steps on a pipeline pool. ---
-  StreamSession piped(plan, threads);
-  std::vector<double> piped_ms;
-  double piped_window_ms = 0.0;
-  {
-    const ndsnn::util::Stopwatch sw;
-    const std::vector<InferenceResult> results = piped.run_steps(frames);
-    piped_window_ms = sw.millis();
-    for (const auto& r : results) piped_ms.push_back(r.latency_ms);
-  }
 
   // Correctness pin: the streamed per-step outputs must reproduce the
   // whole-window pass bitwise (row block t of the window output).
@@ -182,9 +166,6 @@ int main(int argc, char** argv) {
   const double step_p50 = percentile(step_ms, 0.50);
   const double step_p95 = percentile(step_ms, 0.95);
   const double step_p99 = percentile(step_ms, 0.99);
-  const double piped_p50 = percentile(piped_ms, 0.50);
-  const double piped_p95 = percentile(piped_ms, 0.95);
-  const double piped_p99 = percentile(piped_ms, 0.99);
 
   ndsnn::util::Table table({"mode", "p50 ms", "p95 ms", "p99 ms", "window ms"});
   table.add_row({"whole-window", ndsnn::util::fmt(whole_window_ms, 2),
@@ -192,8 +173,6 @@ int main(int argc, char** argv) {
                  ndsnn::util::fmt(whole_window_ms, 2)});
   table.add_row({"streamed", ndsnn::util::fmt(step_p50, 2), ndsnn::util::fmt(step_p95, 2),
                  ndsnn::util::fmt(step_p99, 2), "-"});
-  table.add_row({"pipelined", ndsnn::util::fmt(piped_p50, 2), ndsnn::util::fmt(piped_p95, 2),
-                 ndsnn::util::fmt(piped_p99, 2), ndsnn::util::fmt(piped_window_ms, 2)});
   table.print();
   std::printf("per-event p99 %.2f ms streamed vs %.2f ms whole-window (%.1fx); "
               "%lld delta skips over %lld silent frames; bitwise %s\n",
@@ -209,17 +188,12 @@ int main(int argc, char** argv) {
     json.kv("cores", cores);
     json.kv("frames", frames_n);
     json.kv("batch", batch);
-    json.kv("threads", threads);
     json.kv("silent_frames", silent_frames);
     json.key("streaming").begin_object();
     json.kv("whole_window_ms", whole_window_ms);
     json.kv("step_p50_ms", step_p50);
     json.kv("step_p95_ms", step_p95);
     json.kv("step_p99_ms", step_p99);
-    json.kv("pipelined_p50_ms", piped_p50);
-    json.kv("pipelined_p95_ms", piped_p95);
-    json.kv("pipelined_p99_ms", piped_p99);
-    json.kv("pipelined_window_ms", piped_window_ms);
     json.kv("delta_skips", delta_skips);
     json.kv("bitwise_ok", bitwise_ok ? 1 : 0);
     json.end_object();

@@ -10,8 +10,7 @@
 //                           [--activation auto|dense|event]
 //                           [--precision auto|fp32|int8|int4]
 //                           [--kernel-tier auto|scalar|vector|avx2]
-//                           [--intra-threads 1] [--coalesce 0]
-//                           [--coalesce-wait-us 200] [--slo-ms 0]
+//                           [--intra-threads 1] [--slo-ms 0]
 //                           [--save-checkpoint model.ndck]
 //                           [--checkpoint model.ndck]
 //                           [--trace out.json] [--metrics-every 8]
@@ -24,9 +23,7 @@
 // --threads is the executor's *total* worker budget; --intra-threads
 // compiles the plan with a shared intra-op pool (0 = hardware
 // concurrency, 1 = serial plan) and the executor divides the budget by
-// it. --coalesce N fuses queued small requests into one time-major pass
-// of up to N samples (waiting up to --coalesce-wait-us for stragglers);
-// fused results are bitwise identical to solo runs.
+// it. Every executor pass runs one request.
 //
 // With --save-checkpoint the trained network is written as an
 // architecture-tagged checkpoint; with --checkpoint the training stage
@@ -56,12 +53,11 @@
 // `--checkpoint --precision auto` serve reproduces exactly.
 //
 // Observability (README "Observability" section): --trace out.json
-// records every op run, queue wait, coalesce wait and fused split as
-// Chrome trace-event JSON (open at chrome://tracing or
-// https://ui.perfetto.dev); --metrics-every N prints a serving stats
-// line every N completed requests plus a final metrics-registry dump;
-// --profile prints the measured per-op latency/firing-rate table at
-// the end. Any of the three enables plan profiling; traced outputs are
+// records every op run and queue wait as Chrome trace-event JSON
+// (open at chrome://tracing or https://ui.perfetto.dev);
+// --metrics-every N prints a serving stats line every N completed
+// requests plus a final metrics-registry dump; --profile prints the
+// measured per-op latency/firing-rate table at the end. Any of the three enables plan profiling; traced outputs are
 // bitwise identical to untraced ones.
 #include <atomic>
 #include <chrono>
@@ -142,10 +138,9 @@ void serve(const ndsnn::runtime::CompiledNetwork& plan,
     trace::set_enabled(true);
   }
   ndsnn::runtime::BatchExecutor exec(plan, threads, exec_opts);
-  std::printf("  %lld request worker(s) x %lld intra-op lane(s)%s\n",
+  std::printf("  %lld request worker(s) x %lld intra-op lane(s)\n",
               static_cast<long long>(exec.num_threads()),
-              static_cast<long long>(exec.intra_op_threads()),
-              exec_opts.max_coalesce > 1 ? ", request coalescing on" : "");
+              static_cast<long long>(exec.intra_op_threads()));
   const ndsnn::util::Stopwatch sw;
   // Submit everything up front (the run_all pattern), then collect in
   // order so --metrics-every can narrate progress between completions.
@@ -185,11 +180,6 @@ void serve(const ndsnn::runtime::CompiledNetwork& plan,
       "worker utilization %.0f%%\n",
       stats.queue_mean_ms, stats.queue_p50_ms, stats.queue_p95_ms,
       100.0 * stats.worker_utilization);
-  if (stats.fused_batches > 0) {
-    std::printf("coalescing: %lld requests fused into %lld passes\n",
-                static_cast<long long>(stats.coalesced_requests),
-                static_cast<long long>(stats.fused_batches));
-  }
   if (!labels.empty()) {
     std::printf("accuracy %.2f%%\n",
                 100.0 * static_cast<double>(correct) / static_cast<double>(total));
@@ -230,8 +220,6 @@ void print_help() {
       "\n"
       "executor / scheduling:\n"
       "  --threads N        total request-worker budget (default 4)\n"
-      "  --coalesce N       fuse up to N queued requests into one pass\n"
-      "  --coalesce-wait-us US   straggler wait when coalescing (default 200)\n"
       "  --slo-ms MS        admission-control latency target (0 = off)\n"
       "\n"
       "workload / training:\n"
@@ -285,8 +273,6 @@ int main(int argc, char** argv) {
   }
 
   ndsnn::runtime::ExecutorOptions exec_opts;
-  exec_opts.max_coalesce = cli.get_int("--coalesce", 0);
-  exec_opts.max_wait_us = cli.get_int("--coalesce-wait-us", 200);
   exec_opts.slo_ms = cli.get_double("--slo-ms", 0.0);
 
   ServeTelemetry tel;

@@ -14,19 +14,9 @@
 
 namespace ndsnn::runtime {
 
-using tensor::Shape;
 using tensor::Tensor;
 
 namespace {
-
-/// Per-sample layout of a request: every dim after the batch axis.
-/// Requests with equal keys (and equal SLO class) share a sub-queue and
-/// are always fusable.
-std::vector<int64_t> shape_key(const Tensor& t) {
-  std::vector<int64_t> key;
-  for (int64_t d = 1; d < t.rank(); ++d) key.push_back(t.dim(d));
-  return key;
-}
 
 double ms_between(std::chrono::steady_clock::time_point a,
                   std::chrono::steady_clock::time_point b) {
@@ -37,7 +27,6 @@ double ms_between(std::chrono::steady_clock::time_point a,
 /// the references stay valid for the process lifetime.
 struct ExecutorMetrics {
   util::Counter& requests;
-  util::Counter& coalesced;
   util::Counter& shed;
   util::Gauge& queue_depth;
   util::Histogram& queue_wait_us;
@@ -46,7 +35,6 @@ struct ExecutorMetrics {
   static ExecutorMetrics& get() {
     auto& reg = util::MetricsRegistry::global();
     static ExecutorMetrics m{reg.counter("executor.requests"),
-                             reg.counter("executor.coalesced_requests"),
                              reg.counter("executor.shed_requests"),
                              reg.gauge("executor.queue_depth"),
                              reg.histogram("executor.queue_wait_us"),
@@ -54,22 +42,6 @@ struct ExecutorMetrics {
     return m;
   }
 };
-
-/// Concatenate request batches along dim 0.
-Tensor concat_rows(const std::vector<Tensor*>& parts) {
-  int64_t total = 0;
-  for (const Tensor* t : parts) total += t->dim(0);
-  std::vector<int64_t> dims;
-  dims.push_back(total);
-  for (int64_t d = 1; d < parts[0]->rank(); ++d) dims.push_back(parts[0]->dim(d));
-  Tensor fused((Shape(dims)));
-  float* dst = fused.data();
-  for (const Tensor* t : parts) {
-    std::copy(t->data(), t->data() + t->numel(), dst);
-    dst += t->numel();
-  }
-  return fused;
-}
 
 }  // namespace
 
@@ -193,15 +165,9 @@ std::future<InferenceResult> BatchExecutor::submit(InferenceRequest request) {
         has_first_request_ = true;
         first_request_ = req.enqueued;
       }
-      const std::vector<int64_t> key = shape_key(req.batch);
-      int qi = find_queue(slo, key);
-      if (qi < 0) {
-        queues_.push_back(std::make_unique<SubQueue>(SubQueue{slo, key, {}}));
-        qi = static_cast<int>(queues_.size()) - 1;
-      }
       ++queued_requests_;
       queued_samples_ += req.samples;
-      queues_[static_cast<std::size_t>(qi)]->q.push_back(std::move(req));
+      queues_[slo == SloClass::kBatch ? 1 : 0].push_back(std::move(req));
       ExecutorMetrics::get().queue_depth.set(queued_requests_);
     }
   }
@@ -236,8 +202,8 @@ std::vector<Tensor> BatchExecutor::run_all(const std::vector<Tensor>& batches) {
   return results;
 }
 
-uint64_t BatchExecutor::open_stream(int64_t pipeline_threads) {
-  auto session = std::make_unique<StreamSession>(net_, pipeline_threads);
+uint64_t BatchExecutor::open_stream() {
+  auto session = std::make_unique<StreamSession>(net_);
   const std::lock_guard<std::mutex> lock(mu_);
   if (stopping_) throw ShedError("BatchExecutor: open_stream after shutdown");
   const uint64_t sid = next_stream_id_++;
@@ -279,7 +245,6 @@ std::future<InferenceResult> BatchExecutor::submit_stream(uint64_t stream,
       ++backpressure_rejections_;
     } else {
       it->second.steps.push_back(std::move(step));
-      ++queued_stream_steps_;
     }
   }
   if (invalid) {
@@ -377,8 +342,6 @@ ExecutorStats BatchExecutor::stats() const {
     const std::lock_guard<std::mutex> lock(mu_);
     s.requests = completed_requests_;
     s.samples = completed_samples_;
-    s.fused_batches = fused_batches_;
-    s.coalesced_requests = coalesced_requests_;
     s.shed_requests = shed_requests_;
     s.backpressure_rejections = backpressure_rejections_;
     s.slo_violations = slo_violations_;
@@ -424,100 +387,71 @@ ExecutorStats BatchExecutor::stats() const {
   return s;
 }
 
-void BatchExecutor::record(const std::vector<Request>& group, int64_t samples, double ms,
-                           bool fused, std::size_t worker) {
+void BatchExecutor::record(const Request& req, double ms, std::size_t worker) {
   ExecutorMetrics& metrics = ExecutorMetrics::get();
-  metrics.requests.add(static_cast<int64_t>(group.size()));
+  metrics.requests.add(1);
   metrics.service_us.record(ms * 1e3);
   const std::lock_guard<std::mutex> lock(mu_);
-  inflight_samples_ -= samples;
-  completed_requests_ += static_cast<int64_t>(group.size());
-  completed_samples_ += samples;
-  if (fused) {
-    ++fused_batches_;
-    coalesced_requests_ += static_cast<int64_t>(group.size());
-    metrics.coalesced.add(static_cast<int64_t>(group.size()));
-  }
+  inflight_samples_ -= req.samples;
+  ++completed_requests_;
+  completed_samples_ += req.samples;
   if (worker < busy_ms_.size()) busy_ms_[worker] += ms;
   // Admission predictor input: EMA of per-sample service time.
-  if (samples > 0) {
-    const double per_sample = ms / static_cast<double>(samples);
+  if (req.samples > 0) {
+    const double per_sample = ms / static_cast<double>(req.samples);
     constexpr double kAlpha = 0.2;
     ema_service_per_sample_ms_ = ema_service_per_sample_ms_ > 0.0
                                      ? (1.0 - kAlpha) * ema_service_per_sample_ms_ +
                                            kAlpha * per_sample
                                      : per_sample;
   }
-  for (const Request& r : group) {
-    if (latencies_ms_.size() < kLatencyWindow) {
-      latencies_ms_.push_back(ms);
-    } else {
-      latencies_ms_[latency_next_] = ms;
-    }
-    latency_next_ = (latency_next_ + 1) % kLatencyWindow;
-    if (waits_ms_.size() < kLatencyWindow) {
-      waits_ms_.push_back(r.wait_ms);
-    } else {
-      waits_ms_[wait_next_] = r.wait_ms;
-    }
-    wait_next_ = (wait_next_ + 1) % kLatencyWindow;
-    const double e2e = r.wait_ms + ms;
-    if (e2e_ms_.size() < kLatencyWindow) {
-      e2e_ms_.push_back(e2e);
-    } else {
-      e2e_ms_[e2e_next_] = e2e;
-    }
-    e2e_next_ = (e2e_next_ + 1) % kLatencyWindow;
-    if (opts_.slo_ms > 0.0 && e2e > budget_ms(r.slo)) ++slo_violations_;
-    // Sliding predictor histogram: add this wait's bucket, retire the
-    // oldest once the window is full.
-    const int bucket = util::HistogramSnapshot::bucket_index(r.wait_ms * 1e3);
-    if (recent_wait_buckets_.size() < kPredictorWindow) {
-      recent_wait_buckets_.push_back(static_cast<int16_t>(bucket));
-    } else {
-      const int old = recent_wait_buckets_[recent_wait_next_];
-      --recent_wait_counts_[static_cast<std::size_t>(old)];
-      recent_wait_buckets_[recent_wait_next_] = static_cast<int16_t>(bucket);
-    }
-    ++recent_wait_counts_[static_cast<std::size_t>(bucket)];
-    recent_wait_next_ = (recent_wait_next_ + 1) % kPredictorWindow;
-    metrics.queue_wait_us.record(r.wait_ms * 1e3);
+  if (latencies_ms_.size() < kLatencyWindow) {
+    latencies_ms_.push_back(ms);
+  } else {
+    latencies_ms_[latency_next_] = ms;
   }
+  latency_next_ = (latency_next_ + 1) % kLatencyWindow;
+  if (waits_ms_.size() < kLatencyWindow) {
+    waits_ms_.push_back(req.wait_ms);
+  } else {
+    waits_ms_[wait_next_] = req.wait_ms;
+  }
+  wait_next_ = (wait_next_ + 1) % kLatencyWindow;
+  const double e2e = req.wait_ms + ms;
+  if (e2e_ms_.size() < kLatencyWindow) {
+    e2e_ms_.push_back(e2e);
+  } else {
+    e2e_ms_[e2e_next_] = e2e;
+  }
+  e2e_next_ = (e2e_next_ + 1) % kLatencyWindow;
+  if (opts_.slo_ms > 0.0 && e2e > budget_ms(req.slo)) ++slo_violations_;
+  // Sliding predictor histogram: add this wait's bucket, retire the
+  // oldest once the window is full.
+  const int bucket = util::HistogramSnapshot::bucket_index(req.wait_ms * 1e3);
+  if (recent_wait_buckets_.size() < kPredictorWindow) {
+    recent_wait_buckets_.push_back(static_cast<int16_t>(bucket));
+  } else {
+    const int old = recent_wait_buckets_[recent_wait_next_];
+    --recent_wait_counts_[static_cast<std::size_t>(old)];
+    recent_wait_buckets_[recent_wait_next_] = static_cast<int16_t>(bucket);
+  }
+  ++recent_wait_counts_[static_cast<std::size_t>(bucket)];
+  recent_wait_next_ = (recent_wait_next_ + 1) % kPredictorWindow;
+  metrics.queue_wait_us.record(req.wait_ms * 1e3);
 }
 
-int BatchExecutor::find_queue(SloClass slo, const std::vector<int64_t>& shape) const {
-  for (std::size_t i = 0; i < queues_.size(); ++i) {
-    if (queues_[i]->slo == slo && queues_[i]->shape == shape) return static_cast<int>(i);
+std::deque<BatchExecutor::Request>* BatchExecutor::pick_queue() {
+  // Interactive before batch. Within a class every deadline is enqueue
+  // time plus the same budget, so the FIFO head is also the EDF head.
+  for (auto& q : queues_) {
+    if (!q.empty()) return &q;
   }
-  return -1;
+  return nullptr;
 }
 
-int BatchExecutor::pick_queue() const {
-  int best = -1;
-  for (std::size_t i = 0; i < queues_.size(); ++i) {
-    if (queues_[i]->q.empty()) continue;
-    if (best < 0) {
-      best = static_cast<int>(i);
-      continue;
-    }
-    const Request& head = queues_[i]->q.front();
-    const Request& incumbent = queues_[static_cast<std::size_t>(best)]->q.front();
-    // Interactive before batch (slo_priority rank, not raw enum value);
-    // EDF within a class. With slo_ms == 0 every deadline equals its
-    // enqueue time, so this is arrival-order FIFO across sub-queues.
-    if (head.slo != incumbent.slo) {
-      if (slo_priority(head.slo) < slo_priority(incumbent.slo)) best = static_cast<int>(i);
-    } else if (head.deadline < incumbent.deadline) {
-      best = static_cast<int>(i);
-    }
-  }
-  return best;
-}
-
-BatchExecutor::Request BatchExecutor::pop_head(int qi) {
-  SubQueue& sq = *queues_[static_cast<std::size_t>(qi)];
-  Request req = std::move(sq.q.front());
-  sq.q.pop_front();
+BatchExecutor::Request BatchExecutor::pop_head(std::deque<Request>& q) {
+  Request req = std::move(q.front());
+  q.pop_front();
   --queued_requests_;
   queued_samples_ -= req.samples;
   const auto now = std::chrono::steady_clock::now();
@@ -534,96 +468,36 @@ BatchExecutor::Request BatchExecutor::pop_head(int qi) {
   return req;
 }
 
-std::vector<BatchExecutor::Request> BatchExecutor::take_group(
-    std::unique_lock<std::mutex>& lock, std::vector<Request>& doomed) {
-  std::vector<Request> group;
-  int first = pick_queue();
-  // Lazy shed: a head whose expected finish is already past its
-  // deadline would execute only to violate — drop it at dispatch so the
-  // capacity serves requests that can still make their budget. (The
-  // admission predictor bounds the queue, but a load spike between
-  // admit and dispatch can still doom requests; EDF puts them at the
-  // head, where they would otherwise delay every follower too.)
-  if (opts_.slo_ms > 0.0) {
-    while (first >= 0) {
-      const Request& head = queues_[static_cast<std::size_t>(first)]->q.front();
+std::optional<BatchExecutor::Request> BatchExecutor::take_request(
+    std::vector<Request>& doomed) {
+  std::optional<Request> req;
+  for (std::deque<Request>* q = pick_queue(); q != nullptr; q = pick_queue()) {
+    // Lazy shed: a head whose expected finish is already past its
+    // deadline would execute only to violate — drop it at dispatch so the
+    // capacity serves requests that can still make their budget. (The
+    // admission predictor bounds the queue, but a load spike between
+    // admit and dispatch can still doom requests; they sit at the head,
+    // where they would otherwise delay every follower too.)
+    if (opts_.slo_ms > 0.0) {
+      const Request& head = q->front();
       const double service_ms =
           ema_service_per_sample_ms_ * static_cast<double>(head.samples);
       const auto finish = std::chrono::steady_clock::now() +
                           std::chrono::microseconds(static_cast<int64_t>(service_ms * 1e3));
-      if (finish <= head.deadline) break;
-      doomed.push_back(pop_head(first));
-      ++shed_requests_;
-      if (queues_[static_cast<std::size_t>(first)]->q.empty()) {
-        queues_.erase(queues_.begin() + first);
+      if (finish > head.deadline) {
+        doomed.push_back(pop_head(*q));
+        ++shed_requests_;
+        continue;
       }
-      first = pick_queue();
     }
-    if (first < 0) {
-      ExecutorMetrics::get().queue_depth.set(queued_requests_);
-      return group;  // everything queued was doomed
-    }
-  }
-  group.push_back(pop_head(first));
-  const SloClass slo = group.front().slo;
-  const std::vector<int64_t> key = shape_key(group.front().batch);
-  // Drop the bin if that pop emptied it — sub-queues are transient.
-  if (queues_[static_cast<std::size_t>(first)]->q.empty()) {
-    queues_.erase(queues_.begin() + first);
-  }
-  if (opts_.max_coalesce <= 1) {
-    ExecutorMetrics::get().queue_depth.set(queued_requests_);
-    return group;
-  }
-  int64_t samples = group.front().samples;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(opts_.max_wait_us);
-  double hold_open_start_us = -1.0;  // first straggler wait, trace clock
-  while (samples < opts_.max_coalesce) {
-    // Fuse whatever same-class same-shape requests are already queued.
-    // They are compatible by construction; other bins are untouched, so
-    // interleaved foreign shapes no longer break a group apart (the old
-    // single-FIFO design stopped at the first incompatible request and
-    // fused nothing under interleaving).
-    const int qi = find_queue(slo, key);
-    if (qi >= 0) {
-      SubQueue& sq = *queues_[static_cast<std::size_t>(qi)];
-      if (samples + sq.q.front().samples > opts_.max_coalesce) break;
-      samples += sq.q.front().samples;
-      group.push_back(pop_head(qi));
-      if (sq.q.empty()) queues_.erase(queues_.begin() + qi);
-      continue;
-    }
-    if (stopping_ || opts_.max_wait_us <= 0) break;
-    // Hold the group open for stragglers ONLY while nothing else is
-    // runnable: if any other bin has work, run immediately — a partial
-    // group must never make unrelated requests wait behind its timer.
-    if (queued_requests_ > 0) break;
-    if (trace::enabled() && hold_open_start_us < 0.0) hold_open_start_us = trace::now_us();
-    if (cv_.wait_until(lock, deadline,
-                       [this] { return stopping_ || queued_requests_ > 0; })) {
-      if (stopping_ && queued_requests_ == 0) break;
-      continue;  // something arrived: fuse it or run (loop re-checks)
-    }
-    break;  // timed out
-  }
-  if (hold_open_start_us >= 0.0 && trace::enabled()) {
-    trace::Span span;
-    span.name = "coalesce-wait";
-    span.cat = "coalesce";
-    span.ts_us = hold_open_start_us;
-    span.dur_us = trace::now_us() - hold_open_start_us;
-    span.rows = samples;
-    trace::record(std::move(span));
+    req = pop_head(*q);
+    break;
   }
   ExecutorMetrics::get().queue_depth.set(queued_requests_);
-  return group;
+  return req;
 }
 
-void BatchExecutor::run_group(std::vector<Request>& group, std::size_t worker) {
-  int64_t samples = 0;
-  for (const Request& r : group) samples += r.samples;
-  const bool fused = group.size() > 1;
+void BatchExecutor::run_request(Request& req, std::size_t worker) {
   bool recorded = false;
   try {
     if (util::fault::should_fail("executor.stall")) {
@@ -638,47 +512,22 @@ void BatchExecutor::run_group(std::vector<Request>& group, std::size_t worker) {
     Tensor logits;
     {
       trace::ScopedSpan span("execute", "serve");
-      span.rows(samples);
-      if (!fused) {
-        logits = net_.run(group.front().batch);
-      } else {
-        // One time-major pass over the concatenated batch. Every op
-        // treats batch rows independently, so slicing the fused logits
-        // reproduces each request's solo result bitwise.
-        std::vector<Tensor*> parts;
-        parts.reserve(group.size());
-        for (Request& r : group) parts.push_back(&r.batch);
-        logits = net_.run(concat_rows(parts));
-      }
+      span.rows(req.samples);
+      logits = net_.run(req.batch);
     }
     const double ms = sw.millis();
-    record(group, samples, ms, fused, worker);
+    record(req, ms, worker);
     recorded = true;
     // latency_ms is the request's end-to-end time: its own queue wait
-    // plus the (possibly fused) pass's service time.
-    if (!fused) {
-      Request& r = group.front();
-      r.promise.set_value(InferenceResult{std::move(logits), r.wait_ms + ms, 0});
-    } else {
-      trace::ScopedSpan span("fused-split", "split");
-      span.rows(samples);
-      const int64_t classes = logits.dim(1);
-      const float* src = logits.data();
-      int64_t row = 0;
-      for (Request& r : group) {
-        Tensor slice(Shape{r.samples, classes});
-        std::copy(src + row * classes, src + (row + r.samples) * classes, slice.data());
-        row += r.samples;
-        r.promise.set_value(InferenceResult{std::move(slice), r.wait_ms + ms, 0});
-      }
-    }
+    // plus the pass's service time.
+    req.promise.set_value(InferenceResult{std::move(logits), req.wait_ms + ms, 0});
   } catch (...) {
     if (!recorded) {
-      // record() never ran for this group; release its in-flight claim.
+      // record() never ran for this request; release its in-flight claim.
       const std::lock_guard<std::mutex> lock(mu_);
-      inflight_samples_ -= samples;
+      inflight_samples_ -= req.samples;
     }
-    for (Request& r : group) r.promise.set_exception(std::current_exception());
+    req.promise.set_exception(std::current_exception());
   }
 }
 
@@ -697,16 +546,12 @@ void BatchExecutor::drain_stream(uint64_t sid, std::unique_lock<std::mutex>& loc
   entry.busy = true;
   std::deque<StreamStep> steps = std::move(entry.steps);
   entry.steps.clear();
-  queued_stream_steps_ -= static_cast<int64_t>(steps.size());
   StreamSession* session = entry.session.get();
   lock.unlock();
 
-  const auto run_start = std::chrono::steady_clock::now();
-  std::vector<Tensor> frames;
-  frames.reserve(steps.size());
-  for (StreamStep& s : steps) frames.push_back(std::move(s.frame));
   const util::Stopwatch sw;
   std::vector<InferenceResult> results;
+  results.reserve(steps.size());
   std::exception_ptr error;
   try {
     if (util::fault::should_fail("executor.stall")) {
@@ -717,17 +562,18 @@ void BatchExecutor::drain_stream(uint64_t sid, std::unique_lock<std::mutex>& loc
     }
     trace::ScopedSpan span("stream-drain", "serve");
     span.rows(static_cast<int64_t>(steps.size()));
-    results = session->run_steps(frames);
-    // Each step's pipeline latency is relative to run_start; the client
-    // observes queue wait on top.
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      results[i].latency_ms += ms_between(steps[i].enqueued, run_start);
+    for (const StreamStep& s : steps) {
+      InferenceResult result = session->step(s.frame);
+      // Per-event latency as the client observes it: enqueue -> this
+      // step's completion, queue wait included.
+      result.latency_ms = ms_between(s.enqueued, std::chrono::steady_clock::now());
+      results.push_back(std::move(result));
     }
   } catch (...) {
     error = std::current_exception();
-    // The pipeline died mid-sequence: per-layer state is part-way
-    // through an undefined step. Reset so the session restarts clean
-    // rather than silently continuing from a corrupt carry.
+    // A step died mid-sequence: per-layer state is part-way through an
+    // undefined step. Reset so the session restarts clean rather than
+    // silently continuing from a corrupt carry.
     session->reset();
   }
   const double ms = sw.millis();
@@ -756,7 +602,7 @@ void BatchExecutor::drain_stream(uint64_t sid, std::unique_lock<std::mutex>& loc
 
 void BatchExecutor::worker_loop(std::size_t worker) {
   for (;;) {
-    std::vector<Request> group;
+    std::optional<Request> req;
     std::vector<Request> doomed;
     bool more = false;
     {
@@ -771,13 +617,14 @@ void BatchExecutor::worker_loop(std::size_t worker) {
         continue;
       }
       if (queued_requests_ == 0) return;  // stopping_ and drained
-      group = take_group(lock, doomed);
-      for (const Request& r : group) inflight_samples_ += r.samples;
+      req = take_request(doomed);
+      if (req) inflight_samples_ += req->samples;
       more = queued_requests_ > 0;
     }
-    // A hold-open wait can swallow the notify_one meant for an idle
-    // worker (the waiter wakes, sees a foreign shape and runs its own
-    // group) — re-arm a peer whenever work remains queued.
+    // A notify_one meant for an idle worker can be consumed by a worker
+    // that then takes other work (a stream drain, or a request a busy
+    // worker already popped) — re-arm a peer whenever requests remain
+    // queued so none waits behind this pass while a worker sleeps.
     if (more) cv_.notify_one();
     if (!doomed.empty()) {
       ExecutorMetrics::get().shed.add(static_cast<int64_t>(doomed.size()));
@@ -785,7 +632,7 @@ void BatchExecutor::worker_loop(std::size_t worker) {
         shed(r, "BatchExecutor: shed — deadline unreachable at dispatch");
       }
     }
-    if (!group.empty()) run_group(group, worker);
+    if (req) run_request(*req, worker);
   }
 }
 

@@ -5,28 +5,14 @@
 // [N, classes] through a std::future. The CompiledNetwork plan is
 // immutable, so workers share it without synchronization.
 //
-// Scheduling (PR 7): the queue is not a single FIFO. Requests are
-// binned into per-(SLO class, sample shape) sub-queues, and a free
-// worker always picks the sub-queue whose *head* is most urgent:
-// interactive class before batch class, earliest deadline first (EDF)
-// within a class. A request's deadline is its enqueue time plus its
-// class's SLO budget (ExecutorOptions::slo_ms, scaled by
-// batch_slo_factor for the batch class); with no SLO configured the
-// deadline degenerates to the enqueue time and EDF is exactly
-// arrival-order FIFO.
-//
-// Coalescing without head-of-line blocking: with max_coalesce > 1 a
-// worker that picks a sub-queue keeps popping follow-up requests *from
-// that same sub-queue* (same shape by construction, so always fusable)
-// into one time-major pass of up to max_coalesce samples, splitting the
-// logits back per request afterwards. It holds the group open for up to
-// max_wait_us waiting for stragglers ONLY while no other request of any
-// shape is runnable; the moment an incompatible request arrives the
-// group runs with what it has. The previous design popped from one
-// global FIFO and could neither fuse same-shape requests separated by
-// an incompatible one (interleaved shapes collapsed coalescing to
-// nothing) nor stop holding a partial group when foreign work queued
-// behind it — tests/runtime/batch_executor_test.cpp pins both fixes.
+// Scheduling: one FIFO per request class, and a free worker always
+// serves the interactive FIFO before the batch FIFO. A request's
+// deadline is its enqueue time plus its class's SLO budget
+// (ExecutorOptions::slo_ms, scaled by batch_slo_factor for the batch
+// class); within a class that budget is a constant, so deadline order
+// (EDF) is arrival order and the FIFO head is always the class's most
+// urgent request. Every worker pass runs exactly one request through
+// CompiledNetwork::run.
 //
 // Admission control: with slo_ms > 0, submit() predicts the end-to-end
 // latency a new request would see — predicted queue wait plus the
@@ -53,11 +39,11 @@
 // Streaming (PR 9): open_stream() attaches a StreamSession — persistent
 // per-layer neuron state, one timestep per submit_stream() — to the
 // executor. Stream steps live on per-session FIFOs (temporal order is
-// part of the semantics, so they never mix into the shape-binned
-// sub-queues and are never shed by admission control), outrank every
-// queued request (slo_priority: kStream < kInteractive < kBatch), and a
-// free worker drains ALL queued steps of a session in one pipelined
-// StreamSession::run_steps pass.
+// part of the semantics, so they never mix into the request FIFOs and
+// are never shed by admission control), outrank every queued request
+// (slo_priority: kStream < kInteractive < kBatch), and a free worker
+// drains ALL queued steps of a session, one StreamSession::step after
+// another.
 //
 // Thread budget: the constructor's num_threads is the *total* worker
 // budget. When the plan was compiled with an intra-op pool
@@ -67,12 +53,12 @@
 // oversubscribing the machine.
 //
 // Determinism: a request's logits depend only on its input and the
-// plan — never on which worker ran it, how many workers exist, which
-// requests it was fused with, or which other requests were shed
-// (fusing is bitwise-exact because every op processes batch rows
-// independently). Shedding affects only *whether* a request runs.
+// plan — never on which worker ran it, how many workers exist, or
+// which other requests were shed. Shedding affects only *whether* a
+// request runs.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -81,6 +67,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -103,16 +90,13 @@ class StreamSession;
 /// worker; queue wait (queue_*) from enqueue to the moment a worker
 /// pops the request; e2e_* is their per-request sum — the latency a
 /// client actually observes and the quantity SLO violations are counted
-/// against. Every request of a fused pass reports that pass's service
-/// latency and its own queue wait. Percentiles are nearest-rank over a
-/// sliding window of the most recent requests (kLatencyWindow) so a
-/// long-lived executor's memory and stats() cost stay bounded;
-/// requests/samples/shed/violation counts are all-time totals.
+/// against. Percentiles are nearest-rank over a sliding window of the
+/// most recent requests (kLatencyWindow) so a long-lived executor's
+/// memory and stats() cost stay bounded; requests/samples/shed/violation
+/// counts are all-time totals.
 struct ExecutorStats {
   int64_t requests = 0;  ///< requests fully processed (admitted only)
   int64_t samples = 0;   ///< batch rows fully processed
-  int64_t fused_batches = 0;       ///< coalesced passes (>= 2 requests each)
-  int64_t coalesced_requests = 0;  ///< requests served inside a fused pass
   /// Requests that never executed: refused by admission control at
   /// submit, dropped at dispatch once their deadline became
   /// unreachable, or submitted after shutdown. Their futures throw
@@ -134,12 +118,12 @@ struct ExecutorStats {
   double e2e_p50_ms = 0.0;
   double e2e_p95_ms = 0.0;
   double e2e_p99_ms = 0.0;
-  /// Requests waiting in the sub-queues at snapshot time.
+  /// Requests waiting in the request FIFOs at snapshot time.
   int64_t queue_depth = 0;
   /// Streaming sessions currently open (open_stream - closed/drained).
   int64_t open_streams = 0;
   /// Stream timesteps fully processed (all-time; separate from
-  /// `requests` — stream steps never enter the request sub-queues).
+  /// `requests` — stream steps never enter the request FIFOs).
   int64_t stream_steps = 0;
   /// Stream steps refused at submit because their session's queue was
   /// at ExecutorOptions::max_stream_queue (futures threw
@@ -158,16 +142,8 @@ struct ExecutorStats {
   std::vector<double> utilization_per_worker;
 };
 
-/// Scheduling knobs (defaults: coalescing off, no SLO — plain FIFO).
+/// Scheduling knobs (defaults: no SLO — plain FIFO per class).
 struct ExecutorOptions {
-  /// Maximum *samples* (batch rows) per fused pass; <= 1 disables
-  /// coalescing. A request bigger than the cap still runs alone.
-  int64_t max_coalesce = 1;
-  /// How long a worker holding fewer than max_coalesce samples waits
-  /// for more same-shape requests before running what it has. The wait
-  /// only happens while no other request is runnable; foreign arrivals
-  /// end it immediately. 0 = only fuse what is already queued.
-  int64_t max_wait_us = 0;
   /// Interactive-class SLO budget in milliseconds. > 0 enables EDF
   /// deadlines, admission control (shedding) and SLO-violation
   /// accounting; 0 disables all three (nothing is ever shed).
@@ -217,15 +193,12 @@ class BatchExecutor {
 
   /// Open a streaming session over the served plan: persistent neuron
   /// state on the executor, one timestep per submit_stream() call.
-  /// `pipeline_threads` sizes the session's layer pipeline (1 = serial;
-  /// see StreamSession) — serial by default so many concurrent sessions
-  /// do not multiply thread counts. Returns the session id. Throws
-  /// ShedError after shutdown().
-  [[nodiscard]] uint64_t open_stream(int64_t pipeline_threads = 1);
+  /// Returns the session id. Throws ShedError after shutdown().
+  [[nodiscard]] uint64_t open_stream();
 
   /// Enqueue one timestep frame [N, ...] for an open stream. Steps of a
   /// session run in submission order; a worker drains every queued step
-  /// of the session in one pipelined pass (StreamSession::run_steps).
+  /// of the session, one StreamSession::step after another.
   /// Stream steps outrank interactive requests (slo_priority) and are
   /// never shed by admission control — dropping a middle timestep would
   /// corrupt the temporal state — but steps queued at shutdown() or
@@ -300,18 +273,8 @@ class BatchExecutor {
     double wait_ms = 0.0;
   };
 
-  /// One scheduling bin: every queued request with this SLO class and
-  /// per-sample shape (trailing dims; dim 0 is the batch axis). Within
-  /// a bin, arrival order == deadline order, so the head is the bin's
-  /// most urgent request. Empty bins are erased.
-  struct SubQueue {
-    SloClass slo = SloClass::kInteractive;
-    std::vector<int64_t> shape;
-    std::deque<Request> q;
-  };
-
   /// One timestep waiting on a stream's own FIFO (never in the request
-  /// sub-queues: per-session order is part of the semantics).
+  /// FIFOs: per-session order is part of the semantics).
   struct StreamStep {
     tensor::Tensor frame;
     std::promise<InferenceResult> promise;
@@ -333,37 +296,30 @@ class BatchExecutor {
   /// Lowest-id stream with runnable steps and no worker on it, or 0.
   /// Caller holds mu_.
   [[nodiscard]] uint64_t pick_stream_locked() const;
-  /// Drain every queued step of stream `sid` in one pipelined pass and
-  /// resolve the promises. Called by a worker that holds `lock`;
+  /// Run every queued step of stream `sid` in order and resolve the
+  /// promises. Called by a worker that holds `lock`;
   /// releases it around execution, reacquires before returning.
   void drain_stream(uint64_t sid, std::unique_lock<std::mutex>& lock,
                     std::size_t worker);
-  /// Index of the sub-queue whose head is most urgent ((class,
-  /// deadline) lexicographic min), or -1 when nothing is queued.
-  /// Caller holds mu_.
-  [[nodiscard]] int pick_queue() const;
-  /// Sub-queue index for (slo, shape), or -1. Caller holds mu_.
-  [[nodiscard]] int find_queue(SloClass slo, const std::vector<int64_t>& shape) const;
+  /// The FIFO whose head runs next — interactive before batch — or
+  /// null when nothing is queued. Caller holds mu_.
+  [[nodiscard]] std::deque<Request>* pick_queue();
   /// Admission predictor (ms). Caller holds mu_.
   [[nodiscard]] double predicted_wait_ms_locked() const;
   /// SLO budget of a class in ms (infinity semantics via slo_ms == 0
   /// are handled by the callers). Requires opts_.slo_ms > 0.
   [[nodiscard]] double budget_ms(SloClass slo) const;
-  /// Pop the most urgent request plus same-shape followers up to the
-  /// coalesce cap, holding the group open for stragglers only while
-  /// nothing else is runnable (caller holds mu_ via `lock`). With an
-  /// SLO configured, heads that are already doomed — expected finish
-  /// past their deadline even if started now — are popped into `doomed`
+  /// Pop the most urgent request (caller holds mu_). With an SLO
+  /// configured, heads that are already doomed — expected finish past
+  /// their deadline even if started now — are popped into `doomed`
   /// instead (lazy shed at dispatch; the caller resolves them with
-  /// ShedError outside the lock). May return an empty group when every
-  /// queued head was doomed.
-  std::vector<Request> take_group(std::unique_lock<std::mutex>& lock,
-                                  std::vector<Request>& doomed);
-  /// Pop the head of queues_[qi] with wait bookkeeping. Caller holds mu_.
-  Request pop_head(int qi);
-  void run_group(std::vector<Request>& group, std::size_t worker);
-  void record(const std::vector<Request>& group, int64_t samples, double ms, bool fused,
-              std::size_t worker);
+  /// ShedError outside the lock). Empty when every queued head was
+  /// doomed.
+  std::optional<Request> take_request(std::vector<Request>& doomed);
+  /// Pop the head of `q` with wait bookkeeping. Caller holds mu_.
+  Request pop_head(std::deque<Request>& q);
+  void run_request(Request& req, std::size_t worker);
+  void record(const Request& req, double ms, std::size_t worker);
   /// Resolve a request's future with ShedError. Caller must NOT hold mu_.
   static void shed(Request& req, const char* why);
   /// Same for a stream step.
@@ -375,28 +331,24 @@ class BatchExecutor {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  /// unique_ptr: SubQueue holds promises (move-only) and vector
-  /// reallocation must not try to copy them.
-  std::vector<std::unique_ptr<SubQueue>> queues_;
-  int64_t queued_requests_ = 0;  ///< total across sub-queues
-  int64_t queued_samples_ = 0;   ///< total batch rows across sub-queues
+  /// One FIFO per request class: [0] interactive, [1] batch.
+  std::array<std::deque<Request>, 2> queues_;
+  int64_t queued_requests_ = 0;  ///< total across both FIFOs
+  int64_t queued_samples_ = 0;   ///< total batch rows across both FIFOs
   /// Open streaming sessions by id (std::map: pick_stream_locked scans
   /// in id order, so stream service order is deterministic).
   std::map<uint64_t, StreamEntry> streams_;
   uint64_t next_stream_id_ = 1;
-  int64_t queued_stream_steps_ = 0;  ///< steps waiting across all streams
-  int64_t stream_steps_ = 0;         ///< steps fully processed (all-time)
+  int64_t stream_steps_ = 0;  ///< steps fully processed (all-time)
   /// Samples taken by workers but not yet finished: the admission
-  /// predictor's drain term counts them too (a running fused pass
-  /// delays new arrivals just like queued work does).
+  /// predictor's drain term counts them too (a running pass delays new
+  /// arrivals just like queued work does).
   int64_t inflight_samples_ = 0;
   bool stopping_ = false;
   bool has_first_request_ = false;
   std::chrono::steady_clock::time_point first_request_;  ///< utilization denominator
   int64_t completed_requests_ = 0;
   int64_t completed_samples_ = 0;
-  int64_t fused_batches_ = 0;
-  int64_t coalesced_requests_ = 0;
   int64_t shed_requests_ = 0;
   int64_t backpressure_rejections_ = 0;
   int64_t slo_violations_ = 0;

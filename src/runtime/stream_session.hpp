@@ -3,18 +3,11 @@
 // CompiledNetwork::run() is whole-window: every call direct-encodes T
 // timesteps, runs them to completion and throws the membrane state
 // away. A StreamSession turns the same plan into an always-on temporal
-// pipeline: it owns persistent per-layer neuron state (the v /
+// computation: it owns persistent per-layer neuron state (the v /
 // adaptation carries the neuron ops keep across Op::step() calls),
-// accepts ONE timestep's frame at a time, and returns that step's
-// output with per-event latency instead of per-window.
-//
-// Pipelined execution: run_steps() schedules (stage s, step t) tasks in
-// wavefronts w = s + t on the session's util::ThreadPool — stage l
-// processes step t while stage l+1 processes step t-1. Within one
-// wavefront every task has a distinct stage AND a distinct step, so
-// per-stage state and per-step outputs are touched by exactly one lane;
-// the barrier between wavefronts makes the schedule — and therefore the
-// fp32 results — bitwise independent of the lane count.
+// accepts ONE timestep's frame at a time, runs it through every stage
+// on the calling thread, and returns that step's output with per-event
+// latency instead of per-window.
 //
 // Delta path: a stateless stage whose input SpikeBatch is empty this
 // step reuses a cached zero-input output (computed once per input
@@ -25,14 +18,13 @@
 // skipped_ops. Stateful stages (neuron dynamics, residual blocks)
 // always run — membranes decay even on silent steps.
 //
-// Correctness contract: feeding T frames through a session — streamed
-// one by one or pipelined via run_steps() — produces per-step outputs
-// whose time-major concatenation is bitwise identical to
+// Correctness contract: feeding T frames through a session one step()
+// at a time produces per-step outputs whose time-major concatenation
+// is bitwise identical to
 // plan_ir().execute() over the same window (the differential harness
 // pins this across backend x activation x precision).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -42,10 +34,6 @@
 #include "runtime/plan.hpp"
 #include "tensor/tensor.hpp"
 
-namespace ndsnn::util {
-class ThreadPool;
-}
-
 namespace ndsnn::runtime {
 
 class StreamSession {
@@ -53,15 +41,7 @@ class StreamSession {
   /// Create a session over `net`'s plan. `net` must outlive the session
   /// and must not be moved while it is live (the session keeps a
   /// pointer to the plan, not a copy).
-  ///
-  /// `pipeline_threads` sizes the session's own inter-layer pipeline
-  /// pool (distinct from the plan's intra-op pool, which keeps serving
-  /// whatever ops borrow it): 1 (default) executes stages serially on
-  /// the calling thread, 0 resolves to hardware concurrency, N > 1
-  /// runs up to N (stage, step) tasks of a wavefront concurrently.
-  /// Results are bitwise identical for any value.
-  explicit StreamSession(const CompiledNetwork& net, int64_t pipeline_threads = 1);
-  ~StreamSession();
+  explicit StreamSession(const CompiledNetwork& net);
 
   StreamSession(const StreamSession&) = delete;
   StreamSession& operator=(const StreamSession&) = delete;
@@ -77,15 +57,6 @@ class StreamSession {
   /// Tensor-only convenience wrapper over step(InferenceRequest).
   [[nodiscard]] InferenceResult step(const tensor::Tensor& frame);
 
-  /// Feed a whole sequence of frames through the layer pipeline. Output
-  /// k is bitwise identical to calling step() on frames[k] in order,
-  /// but stages overlap across steps on the pipeline pool; each
-  /// result's latency_ms measures call start -> that step's completion
-  /// (per-event latency: early steps resolve while later ones are
-  /// still in flight).
-  [[nodiscard]] std::vector<InferenceResult> run_steps(
-      const std::vector<tensor::Tensor>& frames);
-
   /// Drop all persistent neuron state: the next step() behaves exactly
   /// like the first step of a fresh window. Cached zero-input outputs
   /// survive (they are shape-keyed compile artifacts, not state).
@@ -96,11 +67,7 @@ class StreamSession {
   /// Stage executions skipped by the delta path since construction
   /// (never reset — it is a telemetry total, mirrored by the
   /// stream.delta_skips metric).
-  [[nodiscard]] int64_t delta_skips() const {
-    return delta_skips_.load(std::memory_order_relaxed);
-  }
-  /// Pipeline lanes the session schedules wavefronts on (1 = serial).
-  [[nodiscard]] int64_t pipeline_threads() const;
+  [[nodiscard]] int64_t delta_skips() const { return delta_skips_; }
 
  private:
   /// One plan op plus this session's slice of it: the op's persistent
@@ -126,10 +93,8 @@ class StreamSession {
 
   const Plan* plan_;
   std::vector<Stage> stages_;
-  std::unique_ptr<util::ThreadPool> pool_;  ///< null = serial session
   int64_t steps_ = 0;
-  /// Relaxed atomic: wavefront lanes skip different stages concurrently.
-  std::atomic<int64_t> delta_skips_{0};
+  int64_t delta_skips_ = 0;
 };
 
 }  // namespace ndsnn::runtime

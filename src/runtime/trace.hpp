@@ -7,7 +7,7 @@
 // kind+backend+precision, duration_us, batch rows, observed spike
 // rate, bytes touched, thread id}, the ops add phase sub-spans
 // (im2col, gemm, event-scatter, ...), and the BatchExecutor adds
-// queue-wait / coalesce-wait / fused-split spans. Spans land in a
+// queue-wait / execute / stream-drain spans. Spans land in a
 // fixed-capacity ring per thread (oldest overwritten, drops counted),
 // so a long serving run keeps the most recent window instead of
 // growing without bound. chrome_json() exports the merged snapshot as
@@ -42,7 +42,7 @@ namespace ndsnn::runtime {
 namespace trace {
 
 /// One completed span. `cat` must point at a string literal ("op",
-/// "phase", "queue", "coalesce", "split", "serve").
+/// "phase", "queue", "stream", "serve").
 struct Span {
   std::string name;        ///< op layer name or phase label
   const char* cat = "op";

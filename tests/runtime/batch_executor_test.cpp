@@ -14,6 +14,7 @@
 #include "runtime/trace.hpp"
 #include "sparse/mask.hpp"
 #include "tensor/random.hpp"
+#include "util/fault_injection.hpp"
 #include "util/metrics.hpp"
 
 namespace ndsnn::runtime {
@@ -172,66 +173,6 @@ TEST(BatchExecutorTest, SplitsBudgetBetweenRequestsAndIntraOp) {
   EXPECT_EQ(narrow.num_threads(), 1);
 }
 
-TEST(BatchExecutorTest, CoalescedResultsMatchSoloRunsBitwise) {
-  const CompiledNetwork compiled = make_compiled(23);
-  // Single-sample requests: the case coalescing exists for.
-  Rng rng(24);
-  std::vector<Tensor> requests;
-  for (int i = 0; i < 16; ++i) {
-    Tensor b(Shape{1, 1, 16, 16});
-    b.fill_uniform(rng, 0.0F, 1.0F);
-    requests.push_back(std::move(b));
-  }
-  ExecutorOptions opts;
-  opts.max_coalesce = 8;
-  opts.max_wait_us = 2000;
-  BatchExecutor exec(compiled, 2, opts);
-  const std::vector<Tensor> fused = exec.run_all(requests);
-  ASSERT_EQ(fused.size(), requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const Tensor solo = compiled.run(requests[i]);
-    ASSERT_EQ(fused[i].shape(), solo.shape()) << "request " << i;
-    for (int64_t j = 0; j < solo.numel(); ++j) {
-      // Ops process batch rows independently, so fusing requests into
-      // one time-major pass must not change a single bit.
-      ASSERT_EQ(fused[i].at(j), solo.at(j)) << "request " << i << " elem " << j;
-    }
-  }
-  const ExecutorStats stats = exec.stats();
-  EXPECT_EQ(stats.requests, 16);
-  EXPECT_EQ(stats.samples, 16);
-  // With a 2ms hold-open window the queue of 16 back-to-back submits
-  // must have fused at least once.
-  EXPECT_GT(stats.fused_batches, 0);
-  EXPECT_GT(stats.coalesced_requests, 0);
-  EXPECT_LE(stats.coalesced_requests, 16);
-}
-
-TEST(BatchExecutorTest, CoalescingRespectsSampleCapAndShapeBoundary) {
-  const CompiledNetwork compiled = make_compiled(27);
-  ExecutorOptions opts;
-  opts.max_coalesce = 4;
-  opts.max_wait_us = 0;  // fuse only what is already queued
-  BatchExecutor exec(compiled, 1, opts);
-  Rng rng(28);
-  std::vector<std::future<Tensor>> futures;
-  // Two sizes interleaved: [1, ...] and [3, ...]; a [3] request cannot
-  // join a group already holding 2+ samples under the cap of 4, and
-  // different trailing shapes never fuse at all.
-  for (int i = 0; i < 6; ++i) {
-    Tensor b(Shape{1 + 2 * (i % 2), 1, 16, 16});
-    b.fill_uniform(rng, 0.0F, 1.0F);
-    futures.push_back(exec.submit(std::move(b)));
-  }
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    const Tensor logits = futures[i].get();
-    EXPECT_EQ(logits.dim(0), 1 + 2 * static_cast<int64_t>(i % 2)) << i;
-  }
-  const ExecutorStats stats = exec.stats();
-  EXPECT_EQ(stats.requests, 6);
-  EXPECT_EQ(stats.samples, 12);
-}
-
 TEST(BatchExecutorTest, QueueWaitStatsTrackEnqueueToStart) {
   const CompiledNetwork compiled = make_compiled(31);
   // One worker, a burst of 8 requests: everything behind the head of
@@ -280,10 +221,7 @@ TEST(BatchExecutorTest, TracedServingEmitsQueueAndExecuteSpans) {
   trace::set_enabled(true);
   {
     const CompiledNetwork compiled = make_compiled(37);
-    ExecutorOptions opts;
-    opts.max_coalesce = 4;
-    opts.max_wait_us = 1000;
-    BatchExecutor exec(compiled, 1, opts);
+    BatchExecutor exec(compiled, 1);
     Rng rng(38);
     std::vector<Tensor> singles;
     for (int i = 0; i < 8; ++i) {
@@ -301,11 +239,10 @@ TEST(BatchExecutorTest, TracedServingEmitsQueueAndExecuteSpans) {
     if (cat == "serve" && s.name == "execute") ++execute_spans;
   }
   trace::reset();
-  // Every request waited in the queue (one span each); every pass —
-  // fused or solo — ran under an execute span.
+  // Every request waited in the queue and ran its own pass: one span
+  // of each per request.
   EXPECT_EQ(queue_spans, 8);
-  EXPECT_GE(execute_spans, 1);
-  EXPECT_LE(execute_spans, 8);
+  EXPECT_EQ(execute_spans, 8);
 }
 
 TEST(BatchExecutorTest, ExecutorFeedsProcessMetricsRegistry) {
@@ -317,47 +254,73 @@ TEST(BatchExecutorTest, ExecutorFeedsProcessMetricsRegistry) {
   EXPECT_EQ(reg.counter("executor.requests").value(), before + 5);
 }
 
-// The PR 7 head-of-line pin: two shapes interleaved with coalescing on
-// and no hold-open wait. The old single-FIFO take_group stopped at the
-// first incompatible head, so strict A/B interleaving fused *nothing*
-// (fused_batches == 0 always); per-shape sub-queues fuse the A requests
-// with each other and the B requests with each other. Results must
-// still match solo runs bitwise.
-TEST(BatchExecutorTest, CoalescesAcrossInterleavedShapesWithoutHolBlocking) {
+// The dispatch order the scheduler keeps: with one worker held busy,
+// every queued interactive request runs before any batch request, and
+// within a class requests run in arrival order whatever their sample
+// shape. Every result still equals a solo compiled.run bitwise.
+TEST(BatchExecutorTest, DispatchesInteractiveFirstThenArrivalOrderAcrossShapes) {
+  using Clock = std::chrono::steady_clock;
   const CompiledNetwork compiled = make_compiled(41);
-  ExecutorOptions opts;
-  opts.max_coalesce = 4;
-  opts.max_wait_us = 0;  // only fuse what is already queued
-  BatchExecutor exec(compiled, 1, opts);
+  // Two per-sample shapes with the same flattened width: [1, 16, 16]
+  // and [1, 8, 32] both pool down to 16 positions per channel.
   Rng rng(42);
-  // Strictly interleaved single-sample 16px and double-sample requests
-  // submitted before any worker can drain (1 worker, queue builds up).
   std::vector<Tensor> requests;
+  std::vector<SloClass> classes;
   for (int i = 0; i < 12; ++i) {
-    Tensor b(Shape{1 + i % 2, 1, 16, 16});
+    Tensor b(i % 2 == 0 ? Shape{1 + i % 3, 1, 16, 16} : Shape{1 + i % 3, 1, 8, 32});
     b.fill_uniform(rng, 0.0F, 1.0F);
-    requests.push_back(b);
+    requests.push_back(std::move(b));
+    classes.push_back(i % 3 == 1 ? SloClass::kBatch : SloClass::kInteractive);
   }
-  std::vector<std::future<Tensor>> futures;
-  futures.reserve(requests.size());
-  for (const auto& r : requests) futures.push_back(exec.submit(r));
-  std::vector<Tensor> results;
-  results.reserve(futures.size());
-  for (auto& f : futures) results.push_back(f.get());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const Tensor solo = compiled.run(requests[i]);
-    ASSERT_EQ(results[i].shape(), solo.shape()) << "request " << i;
-    for (int64_t j = 0; j < solo.numel(); ++j) {
-      ASSERT_EQ(results[i].at(j), solo.at(j)) << "request " << i << " elem " << j;
+  for (const double slo_ms : {0.0, 1e6}) {
+    ExecutorOptions opts;
+    opts.slo_ms = slo_ms;  // 1e6: EDF deadlines and admission on, never binding
+    BatchExecutor exec(compiled, 1, opts);
+    // Every pass stalls 50 ms, so the single worker is still inside the
+    // first pass while the rest queue, and passes end >= 50 ms apart.
+    util::fault::FaultInjector::global().arm(
+        "executor.stall", util::fault::Rule{1.0, static_cast<int64_t>(requests.size()), 0});
+    std::vector<Clock::time_point> submitted;
+    std::vector<std::future<InferenceResult>> futures;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      submitted.push_back(Clock::now());
+      futures.push_back(exec.submit(InferenceRequest{requests[i], classes[i]}));
+      if (i == 0) {
+        // Wait until the worker holds request 0, so the order of the
+        // others is the scheduler's choice, not a race with submit.
+        while (util::fault::FaultInjector::global().fires("executor.stall") < 1) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
     }
+    std::vector<Clock::time_point> finished;
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      const InferenceResult r = futures[i].get();
+      const Tensor solo = compiled.run(requests[i]);
+      ASSERT_EQ(r.logits.shape(), solo.shape()) << "request " << i;
+      for (int64_t j = 0; j < solo.numel(); ++j) {
+        ASSERT_EQ(r.logits.at(j), solo.at(j)) << "request " << i << " elem " << j;
+      }
+      finished.push_back(submitted[i] + std::chrono::duration_cast<Clock::duration>(
+                                            std::chrono::duration<double, std::milli>(
+                                                r.latency_ms)));
+    }
+    util::fault::FaultInjector::global().reset();
+    // Expected order: request 0 (already running), then the queued
+    // interactive requests by arrival, then the batch requests.
+    std::vector<std::size_t> want{0};
+    for (const SloClass slo : {SloClass::kInteractive, SloClass::kBatch}) {
+      for (std::size_t i = 1; i < requests.size(); ++i) {
+        if (classes[i] == slo) want.push_back(i);
+      }
+    }
+    for (std::size_t k = 1; k < want.size(); ++k) {
+      EXPECT_LT(finished[want[k - 1]], finished[want[k]])
+          << "slo_ms " << slo_ms << ": request " << want[k - 1]
+          << " should finish before request " << want[k];
+    }
+    EXPECT_EQ(exec.stats().requests, static_cast<int64_t>(requests.size()));
   }
-  const ExecutorStats stats = exec.stats();
-  EXPECT_EQ(stats.requests, 12);
-  // The pin itself: interleaved shapes must not collapse coalescing to
-  // zero. (Same-shape requests sit in the same sub-queue and fuse even
-  // though a foreign shape arrived between them.)
-  EXPECT_GT(stats.fused_batches, 0);
-  EXPECT_GT(stats.coalesced_requests, 0);
 }
 
 // worker_utilization measures from the FIRST request, not executor
@@ -490,7 +453,6 @@ TEST(BatchExecutorTest, DeterministicUnderSloSchedulingAndMixedClasses) {
 
   for (const int workers : {1, 3}) {
     ExecutorOptions opts;
-    opts.max_coalesce = 4;
     opts.slo_ms = 1e6;  // EDF + admission active, budget never binds
     BatchExecutor exec(compiled, workers, opts);
     std::vector<std::future<Tensor>> futures;

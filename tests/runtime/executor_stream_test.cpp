@@ -73,10 +73,10 @@ TEST(ExecutorStreamTest, StreamedStepsMatchDirectSessionInOrder) {
   for (const Tensor& f : frames) want.push_back(reference.step(f).logits);
 
   // Same frames through the executor: submit everything up front (the
-  // worker drains multiple queued steps in one pipelined pass) and the
+  // worker drains every queued step of the session in one pass) and the
   // per-step results must come back in temporal order, bitwise equal.
   BatchExecutor exec(compiled, 2);
-  const uint64_t sid = exec.open_stream(/*pipeline_threads=*/2);
+  const uint64_t sid = exec.open_stream();
   EXPECT_EQ(exec.open_streams(), 1);
   std::vector<std::future<InferenceResult>> futures;
   for (const Tensor& f : frames) futures.push_back(exec.submit_stream(sid, f));

@@ -66,9 +66,7 @@ TEST(LoadgenTest, OpenLoopRunAccountsForEveryArrival) {
     mask.apply(*p.value);
   }
   const CompiledNetwork compiled = CompiledNetwork::compile(*net);
-  runtime::ExecutorOptions eopts;
-  eopts.max_coalesce = 4;
-  BatchExecutor exec(compiled, 1, eopts);
+  BatchExecutor exec(compiled, 1);
 
   Tensor sample(Shape{1, 1, 16, 16});
   Rng rng(53);

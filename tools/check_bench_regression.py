@@ -51,8 +51,6 @@ pass bitwise, the delta path must have fired on the bench's silent
 frames (delta_skips > 0), and the streamed per-event p99 must beat the
 whole-window latency (per-event latency is the point of streaming; a
 single step can never legitimately take longer than the whole window).
-The pipelining speedup over the serial session is informational below
-SERVING_MIN_CORES cores.
 
 Usage: check_bench_regression.py <fresh.json> <snapshot.json>
                                  [--serving serving.json]
@@ -203,9 +201,7 @@ def check_streaming(doc):
     """Self-contained streaming gates over a bench_streaming_latency.json.
 
     Bitwise equivalence, delta-path activity and the per-event latency
-    advantage are structural properties and gate on every box; the
-    pipelining speedup needs real cores and is informational below
-    SERVING_MIN_CORES.
+    advantage are structural properties and gate on every box.
     """
     streaming = doc.get("streaming")
     if not streaming:
@@ -213,7 +209,6 @@ def check_streaming(doc):
               "the streaming bench schema changed; refusing to pass vacuously")
         return False
 
-    cores = int(doc.get("cores", 0))
     ok = True
 
     bitwise = int(streaming.get("bitwise_ok", 0))
@@ -236,13 +231,6 @@ def check_streaming(doc):
           f"{window_ms:.2f} ms -> {status} (gated)")
     if not 0.0 < step_p99 < window_ms:
         ok = False
-
-    piped_ms = float(streaming.get("pipelined_window_ms", 0.0))
-    if piped_ms > 0.0 and window_ms > 0.0:
-        mode = ("gated would need >= 4 cores; informational"
-                if cores < SERVING_MIN_CORES else "informational")
-        print(f"info: pipelined window {piped_ms:.2f} ms vs whole-window "
-              f"{window_ms:.2f} ms ({window_ms / piped_ms:.2f}x, {mode})")
     return ok
 
 
@@ -307,13 +295,11 @@ def main(argv):
     if not check_kernel_tiers(fresh):
         failed = True
 
-    # Informational (not gated: thread/coalescing wins are core-count
-    # bound and the snapshot may come from a smaller box than CI).
+    # Informational (not gated: thread wins are core-count bound and the
+    # snapshot may come from a smaller box than CI).
     tk = fresh.get("threads_kernel", {})
     if tk:
         print(f"info: spmm speedup at 4 threads = {tk.get('spmm_speedup_4t', 0):.2f}x")
-    if "coalesce_speedup" in fresh:
-        print(f"info: coalescing speedup = {fresh['coalesce_speedup']:.2f}x")
     breakdown = fresh.get("op_breakdown", {})
     if breakdown.get("ops"):
         hottest = max(breakdown["ops"],

@@ -11,9 +11,7 @@ Checks, in order:
      least --min-ops DISTINCT op names — a trace with fewer means the
      instrumentation fell off part of the plan.
   3. Executor coverage: at least one "queue" span (enqueue -> start
-     wait) exists when --require-queue is set; "coalesce" spans are
-     reported but optional (an uncontended queue never holds a batch
-     open).
+     wait) exists when --require-queue is set.
   4. Sanity: every event has dur >= 0 and ts >= 0.
 
 Prints a category -> {span count, distinct names} summary so the CI log
