@@ -211,8 +211,8 @@ BENCHMARK(BM_CsrSpmmT)->Apply(MinOfRepeats)->Arg(0)->Arg(1);
 // ---------------------------------------------------------- kernel tiers
 //
 // The fc1-scale layer ([120 x 400] at 0.9 unstructured sparsity, the
-// shape the runtime's LinearOp gate targets) through each SIMD tier
-// explicitly. Arg: tier id (1 = scalar, 2 = vector, 3 = avx2). Tiers
+// shape the runtime's LinearOp gate targets) through each SIMD tier of
+// CSR spmm_t explicitly. Arg: tier id (1 = scalar, 2 = vector, 3 = avx2). Tiers
 // above what the box detects are skipped instead of measured — the
 // dispatch layer would silently clamp the request and the "avx2" row
 // would quietly time the vector kernel.
@@ -238,36 +238,15 @@ void BM_CsrSpmmTTier(benchmark::State& state) {
   Rng rng(32);
   Tensor b(Shape{256, 400});
   b.fill_uniform(rng, 0.0F, 1.0F);
-  (void)csr.spmm_t(b, nullptr, tier);  // warm-up
+  (void)csr.spmm_t(b, tier);  // warm-up
   for (auto _ : state) {
-    Tensor c = csr.spmm_t(b, nullptr, tier);
+    Tensor c = csr.spmm_t(b, tier);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetLabel(simd::name(tier));
   state.SetItemsProcessed(state.iterations() * 2 * csr.nnz() * 256);
 }
 BENCHMARK(BM_CsrSpmmTTier)->Apply(MinOfRepeats)->Arg(1)->Arg(2)->Arg(3);
-
-void BM_CsrSpmmTier(benchmark::State& state) {
-  const auto tier = static_cast<simd::Tier>(state.range(0));
-  if (tier > simd::detected()) {
-    state.SkipWithError("tier not available on this box");
-    return;
-  }
-  const Tensor a = make_fc1_matrix(31);
-  const auto csr = ndsnn::sparse::Csr::from_dense(a);
-  Rng rng(33);
-  Tensor b(Shape{400, 256});
-  b.fill_uniform(rng, 0.0F, 1.0F);
-  (void)csr.spmm(b, nullptr, tier);  // warm-up
-  for (auto _ : state) {
-    Tensor c = csr.spmm(b, nullptr, tier);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetLabel(simd::name(tier));
-  state.SetItemsProcessed(state.iterations() * 2 * csr.nnz() * 256);
-}
-BENCHMARK(BM_CsrSpmmTier)->Apply(MinOfRepeats)->Arg(1)->Arg(2)->Arg(3);
 
 }  // namespace
 

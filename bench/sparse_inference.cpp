@@ -6,25 +6,20 @@
 // sparsity buys. Further sections cover the quantised-value planes — the Sec. III-D 8/4-bit storage claim paired with measured
 // throughput and bytes-touched numbers, both at the kernel level (fp32
 // vs int8/int4 CSR spmm_t on the lenet5 fc1-scale layer) and end to end
-// (whole plans per precision) — and a BatchExecutor thread-pool sweep.
+// (whole plans per precision) — and a BatchExecutor request-worker sweep.
 //
 //   ./bench/sparse_inference [--arch lenet5] [--batch 8] [--timesteps 2]
 //                            [--repeats 5] [--threads 4] [--json out.json]
 //
 // --json additionally writes every table as one machine-readable JSON
 // document (the schema CI uploads as an artifact and the checked-in
-// BENCH_sparse_inference.json snapshot records). New in PR 5: a
-// threads x kernel sweep (row-partitioned CSR spmm/spmm_t through the
-// shared util::ThreadPool). New in PR 6: an op_breakdown section
-// (PlanProfile per-op mean/p50/p95 latency, runs, observed firing rate,
-// and share of plan time on the 0.95 auto plan). Thread speedups are
-// only meaningful on a multi-core box (the checked-in snapshot was refreshed
-// on a 1-core container, where they sit at ~1x by construction; the CI
-// runners report the real numbers).
+// BENCH_sparse_inference.json snapshot records). The op_breakdown
+// section reports PlanProfile per-op mean/p50/p95 latency, runs,
+// observed firing rate and share of plan time on the 0.95 auto plan.
+// Executor worker speedups are only meaningful on a multi-core box.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,7 +37,6 @@
 #include "util/json.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -252,8 +246,8 @@ int main(int argc, char** argv) {
   // SIMD kernel tiers: the same fc1-scale layer through every tier this
   // box can execute — the scalar reference, the gcc-vector-extension
   // baseline, and the hand-written AVX2 kernels — per precision, for
-  // both GEMM orientations the runtime dispatches (spmm_t is what
-  // LinearOp runs, spmm what ConvOp runs). Timing is min-of-repeats:
+  // the CSR spmm_t LinearOp runs (Csr::spmm has one body at every
+  // tier). Timing is min-of-repeats:
   // the minimum over individually-timed calls is the least noisy
   // location statistic on a shared box, and it is what
   // tools/check_bench_regression.py gates on. AVX2 columns only exist
@@ -271,8 +265,6 @@ int main(int argc, char** argv) {
     }
     Tensor bT(Shape{256, 400});  // spmm_t operand (batch-major activations)
     bT.fill_uniform(krng, 0.0F, 1.0F);
-    Tensor bN(Shape{400, 256});  // spmm operand (im2col patch matrix)
-    bN.fill_uniform(krng, 0.0F, 1.0F);
     const int kernel_repeats = std::max(repeats * 20, 40);
 
     // Min of individually-timed calls after two warm-up calls.
@@ -298,41 +290,37 @@ int main(int argc, char** argv) {
     json.kv("in", static_cast<int64_t>(400));
     json.kv("weight_sparsity", 0.9);
     json.key("kernels").begin_array();
-    for (const bool transposed : {true, false}) {
-      for (const auto precision :
-           {ndsnn::sparse::Precision::kFp32, ndsnn::sparse::Precision::kInt8,
-            ndsnn::sparse::Precision::kInt4}) {
-        ndsnn::sparse::Csr csr = ndsnn::sparse::Csr::from_dense(w);
-        if (precision != ndsnn::sparse::Precision::kFp32) (void)csr.quantize(precision);
-        const auto run_tier = [&](simd::Tier tier) {
-          return min_ms([&] {
-            Tensor c = transposed ? csr.spmm_t(bT, nullptr, tier)
-                                  : csr.spmm(bN, nullptr, tier);
-            (void)c;
-          });
-        };
-        const double scalar_ms = run_tier(simd::Tier::kScalar);
-        const double vector_ms = run_tier(simd::Tier::kVector);
-        const double avx2_ms = has_avx2 ? run_tier(simd::Tier::kAvx2) : -1.0;
-        const double avx2_speedup = has_avx2 ? vector_ms / avx2_ms : -1.0;
-        const char* kname = transposed ? "spmm_t" : "spmm";
-        if (transposed && precision == ndsnn::sparse::Precision::kFp32) {
-          avx2_fp32_spmm_t_speedup = avx2_speedup;
-        }
-        tiers_table.add_row(
-            {kname, ndsnn::sparse::precision_tag(precision),
-             ndsnn::util::fmt(scalar_ms, 3), ndsnn::util::fmt(vector_ms, 3),
-             has_avx2 ? ndsnn::util::fmt(avx2_ms, 3) : "-",
-             has_avx2 ? ndsnn::util::fmt(avx2_speedup, 2) + "x" : "-"});
-        json.begin_object();
-        json.kv("kernel", kname);
-        json.kv("precision", ndsnn::sparse::precision_tag(precision));
-        json.kv("scalar_ms", scalar_ms);
-        json.kv("vector_ms", vector_ms);
-        json.kv("avx2_ms", avx2_ms);
-        json.kv("avx2_speedup", avx2_speedup);
-        json.end_object();
+    for (const auto precision :
+         {ndsnn::sparse::Precision::kFp32, ndsnn::sparse::Precision::kInt8,
+          ndsnn::sparse::Precision::kInt4}) {
+      ndsnn::sparse::Csr csr = ndsnn::sparse::Csr::from_dense(w);
+      if (precision != ndsnn::sparse::Precision::kFp32) (void)csr.quantize(precision);
+      const auto run_tier = [&](simd::Tier tier) {
+        return min_ms([&] {
+          Tensor c = csr.spmm_t(bT, tier);
+          (void)c;
+        });
+      };
+      const double scalar_ms = run_tier(simd::Tier::kScalar);
+      const double vector_ms = run_tier(simd::Tier::kVector);
+      const double avx2_ms = has_avx2 ? run_tier(simd::Tier::kAvx2) : -1.0;
+      const double avx2_speedup = has_avx2 ? vector_ms / avx2_ms : -1.0;
+      if (precision == ndsnn::sparse::Precision::kFp32) {
+        avx2_fp32_spmm_t_speedup = avx2_speedup;
       }
+      tiers_table.add_row(
+          {"spmm_t", ndsnn::sparse::precision_tag(precision),
+           ndsnn::util::fmt(scalar_ms, 3), ndsnn::util::fmt(vector_ms, 3),
+           has_avx2 ? ndsnn::util::fmt(avx2_ms, 3) : "-",
+           has_avx2 ? ndsnn::util::fmt(avx2_speedup, 2) + "x" : "-"});
+      json.begin_object();
+      json.kv("kernel", "spmm_t");
+      json.kv("precision", ndsnn::sparse::precision_tag(precision));
+      json.kv("scalar_ms", scalar_ms);
+      json.kv("vector_ms", vector_ms);
+      json.kv("avx2_ms", avx2_ms);
+      json.kv("avx2_speedup", avx2_speedup);
+      json.end_object();
     }
     json.end_array();
     json.kv("avx2_fp32_spmm_t_speedup", avx2_fp32_spmm_t_speedup);
@@ -381,74 +369,6 @@ int main(int argc, char** argv) {
     }
     json.end_array();
     plans_table.print();
-  }
-
-  // Intra-op kernel threading: the lenet5 fc1-scale layer ([120 x 400],
-  // 0.9 sparsity) through the row-partitioned CSR kernels at 1/2/4/8
-  // pool lanes. spmm streams B [400, n]; spmm_t gathers x [m, 400] —
-  // the exact kernels ConvOp/LinearOp dispatch through the plan's
-  // shared pool, nnz-balanced over row_ptr prefix sums.
-  std::printf("\nthreaded CSR kernels, lenet5 fc1-scale [120 x 400] at 0.9 sparsity:\n");
-  double spmm_speedup_4t = 0.0;
-  {
-    Rng trng(20260728ULL);
-    Tensor w(Shape{120, 400});
-    w.fill_uniform(trng, -0.12F, 0.12F);
-    for (int64_t i = 0; i < w.numel(); ++i) {
-      if (trng.uniform01() < 0.9) w.at(i) = 0.0F;
-    }
-    Tensor bN(Shape{400, 256});  // spmm operand
-    bN.fill_uniform(trng, 0.0F, 1.0F);
-    Tensor bT(Shape{256, 400});  // spmm_t operand
-    bT.fill_uniform(trng, 0.0F, 1.0F);
-    const ndsnn::sparse::Csr csr = ndsnn::sparse::Csr::from_dense(w);
-    const int kernel_repeats = std::max(repeats * 20, 40);
-
-    ndsnn::util::Table tk({"threads", "spmm ms", "spmm speedup", "spmm_t ms",
-                           "spmm_t speedup"});
-    double spmm_1t = 0.0, spmm_t_1t = 0.0;
-    json.key("threads_kernel").begin_object();
-    json.kv("out", static_cast<int64_t>(120));
-    json.kv("in", static_cast<int64_t>(400));
-    json.kv("batch_cols", static_cast<int64_t>(256));
-    json.kv("weight_sparsity", 0.9);
-    json.key("lanes").begin_array();
-    for (const int n : {1, 2, 4, 8}) {
-      std::unique_ptr<ndsnn::util::ThreadPool> pool;
-      if (n > 1) pool = std::make_unique<ndsnn::util::ThreadPool>(n);
-      (void)csr.spmm(bN, pool.get());  // warm-up
-      const ndsnn::util::Stopwatch sw_n;
-      for (int r = 0; r < kernel_repeats; ++r) (void)csr.spmm(bN, pool.get());
-      const double spmm_ms = sw_n.millis() / kernel_repeats;
-      (void)csr.spmm_t(bT, pool.get());
-      const ndsnn::util::Stopwatch sw_t;
-      for (int r = 0; r < kernel_repeats; ++r) (void)csr.spmm_t(bT, pool.get());
-      const double spmm_t_ms = sw_t.millis() / kernel_repeats;
-      if (n == 1) {
-        spmm_1t = spmm_ms;
-        spmm_t_1t = spmm_t_ms;
-      }
-      if (n == 4) spmm_speedup_4t = spmm_1t / spmm_ms;
-      tk.add_row({std::to_string(n), ndsnn::util::fmt(spmm_ms, 3),
-                  ndsnn::util::fmt(spmm_1t / spmm_ms, 2) + "x",
-                  ndsnn::util::fmt(spmm_t_ms, 3),
-                  ndsnn::util::fmt(spmm_t_1t / spmm_t_ms, 2) + "x"});
-      json.begin_object();
-      json.kv("threads", n);
-      json.kv("spmm_ms", spmm_ms);
-      json.kv("spmm_speedup", spmm_1t / spmm_ms);
-      json.kv("spmm_t_ms", spmm_t_ms);
-      json.kv("spmm_t_speedup", spmm_t_1t / spmm_t_ms);
-      json.end_object();
-    }
-    json.end_array();
-    tk.print();
-    std::printf("spmm at 4 threads vs 1: %.2fx %s\n", spmm_speedup_4t,
-                spmm_speedup_4t >= 3.0
-                    ? "(>= 3x target met)"
-                    : "(below 3x target - meaningful only on a >= 4-core box)");
-    json.kv("spmm_speedup_4t", spmm_speedup_4t);
-    json.end_object();
   }
 
   // Serving throughput: shard independent requests across a worker pool.

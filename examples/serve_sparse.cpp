@@ -10,7 +10,7 @@
 //                           [--activation auto|dense|event]
 //                           [--precision auto|fp32|int8|int4]
 //                           [--kernel-tier auto|scalar|vector|avx2]
-//                           [--intra-threads 1] [--slo-ms 0]
+//                           [--slo-ms 0]
 //                           [--save-checkpoint model.ndck]
 //                           [--checkpoint model.ndck]
 //                           [--trace out.json] [--metrics-every 8]
@@ -20,10 +20,8 @@
 //                           [--conn-timeout-ms 0] [--drain-ms 5000]
 //                           [--metrics-dump metrics.json]
 //
-// --threads is the executor's *total* worker budget; --intra-threads
-// compiles the plan with a shared intra-op pool (0 = hardware
-// concurrency, 1 = serial plan) and the executor divides the budget by
-// it. Every executor pass runs one request.
+// --threads is the number of executor request workers; each runs the
+// plan serially on its own thread, one request per pass.
 //
 // With --save-checkpoint the trained network is written as an
 // architecture-tagged checkpoint; with --checkpoint the training stage
@@ -130,17 +128,14 @@ void serve(const ndsnn::runtime::CompiledNetwork& plan,
            const std::vector<std::vector<int64_t>>& labels, int threads, int batch_size,
            const ndsnn::runtime::ExecutorOptions& exec_opts, const ServeTelemetry& tel) {
   namespace trace = ndsnn::runtime::trace;
-  std::printf("serving %zu requests (batch %d) on a %d-thread budget...\n", requests.size(),
-              batch_size, threads);
+  std::printf("serving %zu requests (batch %d) on %d request worker(s)...\n",
+              requests.size(), batch_size, threads);
   if (tel.any()) plan.enable_profiling(true);
   if (!tel.trace_path.empty()) {
     trace::reset();
     trace::set_enabled(true);
   }
   ndsnn::runtime::BatchExecutor exec(plan, threads, exec_opts);
-  std::printf("  %lld request worker(s) x %lld intra-op lane(s)\n",
-              static_cast<long long>(exec.num_threads()),
-              static_cast<long long>(exec.intra_op_threads()));
   const ndsnn::util::Stopwatch sw;
   // Submit everything up front (the run_all pattern), then collect in
   // order so --metrics-every can narrate progress between completions.
@@ -215,11 +210,10 @@ void print_help() {
       "\n"
       "execution options (runtime::ExecOptions):\n"
       "  --activation auto|dense|event           activation representation\n"
-      "  --intra-threads N                       intra-op lanes (0 = hw concurrency)\n"
       "  --kernel-tier auto|scalar|vector|avx2   pin the SIMD dispatch tier\n"
       "\n"
       "executor / scheduling:\n"
-      "  --threads N        total request-worker budget (default 4)\n"
+      "  --threads N        request workers (default 4)\n"
       "  --slo-ms MS        admission-control latency target (0 = off)\n"
       "\n"
       "workload / training:\n"
@@ -262,7 +256,6 @@ int main(int argc, char** argv) {
   opts.activation_mode = parse_activation(cli.get_string("--activation", "auto"));
   const std::string precision_spec = cli.get_string("--precision", "auto");
   opts.weight_precision = ndsnn::runtime::parse_weight_precision(precision_spec);
-  opts.num_threads = cli.get_int("--intra-threads", 1);
   // --kernel-tier pins the SIMD dispatch tier (scalar|vector|avx2|auto)
   // for reproducible serving across heterogeneous fleets.
   const std::string tier_spec = cli.get_string("--kernel-tier", "auto");

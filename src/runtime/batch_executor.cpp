@@ -47,18 +47,14 @@ struct ExecutorMetrics {
 
 BatchExecutor::BatchExecutor(const CompiledNetwork& net, int64_t num_threads,
                              const ExecutorOptions& opts)
-    : net_(net), opts_(opts), intra_op_threads_(net.intra_op_threads()) {
+    : net_(net), opts_(opts) {
   if (num_threads < 1) {
     throw std::invalid_argument("BatchExecutor: num_threads must be >= 1");
   }
   recent_wait_buckets_.reserve(kPredictorWindow);
-  // Split the budget: a plan with an intra-op pool already fans each
-  // request across intra_op_threads lanes, so spawning num_threads
-  // request workers on top would oversubscribe the machine.
-  const int64_t request_workers = std::max<int64_t>(1, num_threads / intra_op_threads_);
-  busy_ms_.assign(static_cast<std::size_t>(request_workers), 0.0);
-  workers_.reserve(static_cast<std::size_t>(request_workers));
-  for (int64_t i = 0; i < request_workers; ++i) {
+  busy_ms_.assign(static_cast<std::size_t>(num_threads), 0.0);
+  workers_.reserve(static_cast<std::size_t>(num_threads));
+  for (int64_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this, i] { worker_loop(static_cast<std::size_t>(i)); });
   }
 }

@@ -45,12 +45,10 @@
 // drains ALL queued steps of a session, one StreamSession::step after
 // another.
 //
-// Thread budget: the constructor's num_threads is the *total* worker
-// budget. When the plan was compiled with an intra-op pool
-// (CompileOptions::num_threads > 1), the executor spawns
-// max(1, num_threads / intra_op_threads) request workers so
-// inter-request and intra-op parallelism split the budget instead of
-// oversubscribing the machine.
+// Threads: the constructor's num_threads is the number of request
+// workers it spawns. A compiled plan owns no threads of its own: each
+// request or stream step runs its ops serially on the worker that
+// dequeued it.
 //
 // Determinism: a request's logits depend only on its input and the
 // plan — never on which worker ran it, how many workers exist, or
@@ -161,9 +159,8 @@ struct ExecutorOptions {
 
 class BatchExecutor {
  public:
-  /// Spin up workers over a compiled plan with a total thread budget of
-  /// `num_threads` (>= 1; see the header comment for the inter/intra
-  /// split). The plan must outlive the executor.
+  /// Spin up `num_threads` (>= 1) request workers over a compiled plan.
+  /// The plan must outlive the executor.
   BatchExecutor(const CompiledNetwork& net, int64_t num_threads,
                 const ExecutorOptions& opts = {});
 
@@ -224,13 +221,10 @@ class BatchExecutor {
   /// Idempotent; also called by the destructor.
   void shutdown();
 
-  /// Request workers actually spawned (the budget divided by the plan's
-  /// intra-op lanes).
+  /// Request workers spawned.
   [[nodiscard]] int64_t num_threads() const {
     return static_cast<int64_t>(workers_.size());
   }
-  /// Intra-op lanes of the served plan (1 = serial plan).
-  [[nodiscard]] int64_t intra_op_threads() const { return intra_op_threads_; }
 
   /// Requests fully processed so far.
   [[nodiscard]] int64_t completed_requests() const;
@@ -327,7 +321,6 @@ class BatchExecutor {
 
   const CompiledNetwork& net_;
   const ExecutorOptions opts_;
-  int64_t intra_op_threads_ = 1;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

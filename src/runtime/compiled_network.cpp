@@ -26,7 +26,6 @@
 #include "runtime/ops/shape_ops.hpp"
 #include "snn/spike_stats.hpp"
 #include "tensor/ops.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ndsnn::runtime {
 
@@ -51,9 +50,6 @@ struct Lowering {
   bool any_event = false; ///< some weight layer decided event-driven
   std::size_t weight_index = 0;  ///< weight layers seen, in body order
                                  ///< (indexes CompileOptions::layer_precisions)
-  /// Shared intra-op pool the built weight ops borrow (null = serial).
-  std::shared_ptr<util::ThreadPool> pool;
-
   explicit Lowering(const CompileOptions& o) : opts(o) {}
 
   void now_dense() {
@@ -177,7 +173,7 @@ std::unique_ptr<Op> compile_layer(const nn::Layer& layer, Lowering& lw) {
     // Event-path LinearOp builds a uniform-scale plane; measure that.
     const sparse::Precision precision =
         pick_precision(linear->weight(), kernel, /*uniform_error=*/event, lw);
-    return std::make_unique<LinearOp>(*linear, kernel, precision, event, lw.opts, lw.pool);
+    return std::make_unique<LinearOp>(*linear, kernel, precision, event, lw.opts);
   }
   if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&layer)) {
     const bool event = lw.event_for_weight_layer();
@@ -188,7 +184,7 @@ std::unique_ptr<Op> compile_layer(const nn::Layer& layer, Lowering& lw) {
     // Conv structures keep per-row scales on every path.
     const sparse::Precision precision =
         pick_precision(conv->weight(), kernel, /*uniform_error=*/false, lw);
-    return std::make_unique<ConvOp>(*conv, kernel, precision, event, lw.opts, lw.pool);
+    return std::make_unique<ConvOp>(*conv, kernel, precision, event, lw.opts);
   }
   if (const auto* bn = dynamic_cast<const nn::BatchNorm2d*>(&layer)) {
     lw.now_dense();  // the affine shift makes zeros non-zero
@@ -301,9 +297,6 @@ CompiledNetwork CompiledNetwork::compile(const nn::SpikingNetwork& net,
     throw std::invalid_argument(
         "CompiledNetwork: quant_group_size must be 0 or a power of two >= 4");
   }
-  if (opts.num_threads < 0) {
-    throw std::invalid_argument("CompiledNetwork: num_threads must be >= 0 (0 = hardware)");
-  }
   if (dynamic_cast<const snn::DirectEncoder*>(&net.encoder()) == nullptr) {
     throw std::invalid_argument(
         "CompiledNetwork: only direct encoding is supported (encoder '" +
@@ -322,17 +315,11 @@ CompiledNetwork CompiledNetwork::compile(const nn::SpikingNetwork& net,
   }
   Lowering lw(opts);
   lw.emit_events = dry_walk.any_event;
-  // One shared pool per plan: ops borrow it for intra-op dispatch, the
-  // BatchExecutor reads its lane count to split inter-request vs
-  // intra-op parallelism instead of oversubscribing.
-  const int64_t lanes = util::ThreadPool::resolve_lanes(opts.num_threads);
-  if (lanes > 1) lw.pool = std::make_shared<util::ThreadPool>(lanes);
   for (std::size_t i = 0; i < body.size(); ++i) {
     compiled.plan_.ops.push_back(compile_layer(body.layer(i), lw));
     compiled.plan_.reports.push_back(compiled.plan_.ops.back()->report());
   }
   compiled.plan_.estimated_spike_rate = lw.stats.average_rate();
-  compiled.plan_.pool = std::move(lw.pool);
   compiled.plan_.profile = std::make_shared<PlanProfile>(compiled.plan_.reports);
   return compiled;
 }

@@ -141,8 +141,8 @@ struct QuantOptions {
   int64_t quant_group_size = 0;
 };
 
-/// Execution knobs: how the lowered plan runs — activation path,
-/// threading, SIMD tier.
+/// Execution knobs: how the lowered plan runs — activation path and
+/// SIMD tier.
 struct ExecOptions {
   /// Activation path selection (see ActivationMode).
   ActivationMode activation_mode = ActivationMode::kAuto;
@@ -156,16 +156,6 @@ struct ExecOptions {
   /// from a checkpoint, before any forward pass ran). Typical LIF/PLIF/
   /// ALIF layers fire 5-20% of the time.
   double firing_rate_estimate = 0.15;
-  /// Intra-op execution lanes: 1 (default) compiles a serial plan, 0
-  /// resolves to std::thread::hardware_concurrency(), N > 1 builds a
-  /// shared util::ThreadPool the plan owns and every hot kernel
-  /// dispatches through (CSR spmm/spmm_t partitioned by output row
-  /// with nnz-balanced splits, the event path over batch
-  /// rows / output channels, dense fallbacks by output row). Layers
-  /// whose work sits below util::kMinParallelWork stay serial — thread
-  /// handoff costs more than e.g. lenet5's fc2 [84 x 120]. fp32 outputs
-  /// stay bitwise identical to the serial plan for any value here.
-  int64_t num_threads = 1;
   /// SIMD kernel tier every weight op dispatches with (resolved once at
   /// compile time via util::simd::resolve, so a plan's execution is
   /// reproducible regardless of later NDSNN_KERNEL_TIER / force()
@@ -180,12 +170,12 @@ struct ExecOptions {
 
 /// Knobs for the network -> plan lowering, grouped by concern:
 /// BackendOptions (kernel/format selection), QuantOptions (stored bit
-/// widths), ExecOptions (activation path, threads, SIMD tier). The
-/// bases keep member access flat — `opts.min_sparsity`,
-/// `opts.num_threads` etc. compile exactly as before the grouping — and
-/// aggregate init takes one brace list per group:
+/// widths), ExecOptions (activation path, SIMD tier). The bases keep
+/// member access flat — `opts.min_sparsity`, `opts.kernel_tier` etc.
+/// compile exactly as before the grouping — and aggregate init takes
+/// one brace list per group:
 ///
-///   CompileOptions o{{.min_sparsity = 0.9}, {}, {.num_threads = 0}};
+///   CompileOptions o{{.min_sparsity = 0.9}, {}, {.event_max_rate = 0.1}};
 ///
 /// Group views (backend_opts() etc.) hand a whole group to code that
 /// only cares about one concern.
@@ -238,8 +228,6 @@ class CompiledNetwork {
   /// walks to compare two plans op by op (run() stays the serving API).
   [[nodiscard]] const Plan& plan_ir() const { return plan_; }
   [[nodiscard]] int64_t timesteps() const { return plan_.timesteps; }
-  /// Intra-op lanes of the plan's shared thread pool (1 = serial plan).
-  [[nodiscard]] int64_t intra_op_threads() const { return plan_.intra_op_threads(); }
   /// Compile-time mean firing-rate estimate over the spiking layers
   /// (recorded rates where available, CompileOptions fallback otherwise).
   [[nodiscard]] double estimated_spike_rate() const { return plan_.estimated_spike_rate; }

@@ -11,15 +11,12 @@
 // bitwise identical.
 #pragma once
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "nn/conv2d.hpp"
 #include "runtime/compiled_network.hpp"
 #include "runtime/plan.hpp"
 #include "sparse/csr.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ndsnn::runtime {
 
@@ -27,14 +24,8 @@ class ConvOp final : public Op {
  public:
   /// `precision` mirrors LinearOp: quantises the sparse value plane on
   /// the execution orientation; ignored for the dense kernel.
-  /// `pool` (null = serial) is the plan's shared intra-op pool: the
-  /// dense-activation path partitions the GEMM by output row (filter),
-  /// the event path partitions the scatter by *output channel* — each
-  /// chunk owns a channel strip, replays the event stream, and scatters
-  /// only its own channels (scatter_row_range), so per-output-element
-  /// accumulation order is unchanged and results stay bitwise.
   ConvOp(const nn::Conv2d& src, Kernel kernel, sparse::Precision precision, bool event,
-         const CompileOptions& opts, std::shared_ptr<util::ThreadPool> pool = nullptr);
+         const CompileOptions& opts);
 
   [[nodiscard]] Activation run(const Activation& input) const override;
   [[nodiscard]] OpReport report() const override;
@@ -43,14 +34,10 @@ class ConvOp final : public Op {
   [[nodiscard]] tensor::Tensor run_dense(const tensor::Tensor& input) const;
   [[nodiscard]] tensor::Tensor run_event(const Activation& input) const;
   void event_scatter(const tensor::Tensor& in, const SpikeBatch& events, tensor::Tensor& out,
-                     int64_t oh, int64_t ow, int64_t f0, int64_t f1) const;
+                     int64_t oh, int64_t ow) const;
 
   std::string layer_name_;
   Kernel gemm_;
-  std::shared_ptr<util::ThreadPool> pool_;
-  /// Event path only: per-output-channel weight counts (prefix sums) of
-  /// the transposed structure, so channel strips are nnz-balanced.
-  std::vector<int64_t> channel_weight_prefix_;
   /// Kernel tier resolved once at construction (see LinearOp::tier_).
   util::simd::Tier tier_;
   sparse::Precision precision_;

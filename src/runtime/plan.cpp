@@ -4,11 +4,8 @@
 #include <utility>
 
 #include "runtime/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ndsnn::runtime {
-
-int64_t Plan::intra_op_threads() const { return pool ? pool->lanes() : 1; }
 
 const char* kernel_tag(Kernel k) {
   switch (k) {

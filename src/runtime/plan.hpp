@@ -21,10 +21,6 @@
 #include "tensor/tensor.hpp"
 #include "util/cpuinfo.hpp"
 
-namespace ndsnn::util {
-class ThreadPool;
-}
-
 namespace ndsnn::runtime {
 
 class PlanProfile;  // runtime/trace.hpp: per-op latency/firing-rate aggregation
@@ -202,23 +198,12 @@ struct Plan {
   std::vector<OpReport> reports;
   int64_t timesteps = 1;
   double estimated_spike_rate = 0.0;  ///< mean over spiking layers (compile-time estimate)
-  /// Shared intra-op execution pool (CompileOptions::num_threads > 1 or
-  /// 0 = hardware concurrency): weight ops borrow it for row-partitioned
-  /// kernel dispatch. Null for serial plans. The pool never changes what
-  /// is computed — fp32 outputs are bitwise identical for any lane count
-  /// — and it is safe to drive from many threads at once (the
-  /// BatchExecutor's request workers share it).
-  std::shared_ptr<util::ThreadPool> pool;
   /// Per-op profiling slots (runtime/trace.hpp), allocated by compile()
   /// and disabled by default: execute() folds per-op durations and
   /// observed firing rates into it when enabled. Shared so the const
   /// serving surfaces (CompiledNetwork, BatchExecutor) can toggle and
   /// snapshot it without mutating the immutable plan itself.
   std::shared_ptr<PlanProfile> profile;
-
-  /// Lanes of the intra-op pool (1 for serial plans). What the
-  /// BatchExecutor divides its thread budget by.
-  [[nodiscard]] int64_t intra_op_threads() const;
 
   /// Run the op sequence over an already-encoded time-major batch
   /// (taken by value: callers move the encoder temporary in, so no op

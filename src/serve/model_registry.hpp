@@ -65,7 +65,7 @@ struct RegistryOptions {
   /// Total Plan::stored_bytes() budget across resident models;
   /// 0 = unlimited (nothing is ever requantised or evicted).
   int64_t mem_budget_bytes = 0;
-  /// Worker-thread budget for each model's BatchExecutor.
+  /// Request workers of each model's BatchExecutor.
   int64_t executor_threads = 1;
   /// Scheduling options for each model's BatchExecutor.
   runtime::ExecutorOptions executor;

@@ -142,10 +142,7 @@ Csr Csr::transposed() const {
 }
 
 void Csr::spmv_gather(const float* x, const int32_t* active, int64_t n_active,
-                      double* acc, int32_t* iacc, util::simd::Tier tier) const {
-  // Single body across tiers (see the header); the parameter keeps the
-  // dispatch surface uniform and the request clamping observable.
-  (void)util::simd::resolve(tier);
+                      double* acc, int32_t* iacc) const {
   if (quant_.present()) {
     if (const int shift = quant_.group_shift(); shift >= 0) {
       // Fixed-size grouped plane (always symmetric): fold the group
@@ -212,9 +209,7 @@ void Csr::spmv_gather(const float* x, const int32_t* active, int64_t n_active,
   }
 }
 
-void Csr::scatter_row(int64_t row, float x, float* out, int64_t out_stride,
-                      util::simd::Tier tier) const {
-  (void)util::simd::resolve(tier);  // single body across tiers (see header)
+void Csr::scatter_row(int64_t row, float x, float* out, int64_t out_stride) const {
   const int64_t k0 = row_ptr_[static_cast<std::size_t>(row)];
   const int64_t k1 = row_ptr_[static_cast<std::size_t>(row) + 1];
   if (quant_.present()) {
@@ -237,36 +232,6 @@ void Csr::scatter_row(int64_t row, float x, float* out, int64_t out_stride,
   for (int64_t k = k0; k < k1; ++k) {
     out[static_cast<int64_t>(col_idx_[static_cast<std::size_t>(k)]) * out_stride] +=
         values_[static_cast<std::size_t>(k)] * x;
-  }
-}
-
-void Csr::scatter_row_range(int64_t row, float x, float* out, int64_t out_stride,
-                            int64_t col_begin, int64_t col_end) const {
-  const int64_t k0 = row_ptr_[static_cast<std::size_t>(row)];
-  const int64_t k1 = row_ptr_[static_cast<std::size_t>(row) + 1];
-  // Columns are ascending within the row: binary-search the strip start,
-  // walk until the strip ends.
-  const int32_t* cb = col_idx_.data();
-  int64_t k = std::lower_bound(cb + k0, cb + k1, static_cast<int32_t>(col_begin)) - cb;
-  if (quant_.present()) {
-    if (const int shift = quant_.group_shift(); shift >= 0) {
-      const float* scale = quant_.scale.data();
-      for (; k < k1 && cb[k] < col_end; ++k) {
-        out[static_cast<int64_t>(cb[k]) * out_stride] +=
-            scale[k >> shift] * static_cast<float>(quant_.code(k)) * x;
-      }
-      return;
-    }
-    const float xs = quant_.scale[static_cast<std::size_t>(row)] * x;
-    const int zp = quant_.zero[static_cast<std::size_t>(row)];
-    for (; k < k1 && cb[k] < col_end; ++k) {
-      out[static_cast<int64_t>(cb[k]) * out_stride] +=
-          static_cast<float>(static_cast<int>(quant_.code(k)) - zp) * xs;
-    }
-    return;
-  }
-  for (; k < k1 && cb[k] < col_end; ++k) {
-    out[static_cast<int64_t>(cb[k]) * out_stride] += values_[static_cast<std::size_t>(k)] * x;
   }
 }
 
@@ -375,32 +340,14 @@ void Csr::spmm_range(int64_t r0, int64_t r1, const float* bp, int64_t n, float* 
   }
 }
 
-tensor::Tensor Csr::spmm(const tensor::Tensor& b, util::ThreadPool* pool,
-                         util::simd::Tier tier) const {
+tensor::Tensor Csr::spmm(const tensor::Tensor& b) const {
   if (b.rank() != 2 || b.dim(0) != cols_) {
     throw std::invalid_argument("Csr::spmm: expected B [" + std::to_string(cols_) +
                                 ", n], got " + b.shape().str());
   }
   const int64_t n = b.dim(1);
   tensor::Tensor c(tensor::Shape{rows_, n});
-  const float* bp = b.data();
-  float* cp = c.data();
-  // The AVX2 fp32 body fuses 4 axpys per pass with the C row held in
-  // registers; it needs a vectorizable row width. Quantised planes keep
-  // the scalar dequantise-per-row structure at every tier.
-  const bool avx2 = util::simd::resolve(tier) == util::simd::Tier::kAvx2 &&
-                    simd::built_with_avx2() && !quant_.present() && n >= 8;
-  // Output rows are independent: nnz-balanced row ranges (prefix sums
-  // over row_ptr, so a dense-heavy row does not serialize its chunk).
-  util::parallel_balanced(pool, row_ptr_.data(), rows_, nnz() * n,
-                          [&](int64_t r0, int64_t r1) {
-                            if (avx2) {
-                              simd::csr_spmm_f32_avx2(row_ptr_.data(), col_idx_.data(),
-                                                      values_.data(), r0, r1, bp, n, cp);
-                            } else {
-                              spmm_range(r0, r1, bp, n, cp);
-                            }
-                          });
+  spmm_range(0, rows_, b.data(), n, c.data());
   return c;
 }
 
@@ -534,8 +481,7 @@ void Csr::spmm_t_range(int64_t r0, int64_t r1, const float* bp, int64_t m, float
   }
 }
 
-tensor::Tensor Csr::spmm_t(const tensor::Tensor& b, util::ThreadPool* pool,
-                           util::simd::Tier tier) const {
+tensor::Tensor Csr::spmm_t(const tensor::Tensor& b, util::simd::Tier tier) const {
   if (b.rank() != 2 || b.dim(1) != cols_) {
     throw std::invalid_argument("Csr::spmm_t: expected B [m, " + std::to_string(cols_) +
                                 "], got " + b.shape().str());
@@ -565,37 +511,27 @@ tensor::Tensor Csr::spmm_t(const tensor::Tensor& b, util::ThreadPool* pool,
     }
   }
   if (route == Route::kScalar) {
-    // Partition the CSR rows (columns of C): each chunk writes a
-    // disjoint column strip of every C row, per-element order unchanged.
-    util::parallel_balanced(pool, row_ptr_.data(), rows_, nnz() * m,
-                            [&](int64_t r0, int64_t r1) { spmm_t_range(r0, r1, bp, m, cp); });
+    spmm_t_range(0, rows_, bp, m, cp);
     return c;
   }
   std::vector<float> bt(static_cast<std::size_t>(cols_ * m));
-  util::parallel_even(pool, 0, cols_, cols_ * m, [&](int64_t c0, int64_t c1) {
-    simd::transpose_f32(bp, m, cols_, bt.data(), c0, c1);
-  });
+  simd::transpose_f32(bp, m, cols_, bt.data(), 0, cols_);
   const int shift = quant_.group_shift();
-  util::parallel_balanced(
-      pool, row_ptr_.data(), rows_, nnz() * m, [&](int64_t r0, int64_t r1) {
-        switch (route) {
-          case Route::kF32:
-            simd::csr_spmm_t_f32_avx2(row_ptr_.data(), col_idx_.data(), values_.data(), r0,
-                                      r1, bt.data(), m, rows_, cp);
-            break;
-          case Route::kI8:
-            simd::csr_spmm_t_i8_avx2(row_ptr_.data(), col_idx_.data(), quant_.q8.data(),
-                                     quant_.scale.data(), shift, r0, r1, bt.data(), m,
-                                     rows_, cp);
-            break;
-          case Route::kI4:
-            simd::csr_spmm_t_i4_avx2(row_ptr_.data(), col_idx_.data(), quant_.q4.data(),
-                                     quant_.scale.data(), shift, r0, r1, bt.data(), m,
-                                     rows_, cp);
-            break;
-          case Route::kScalar: break;  // unreachable
-        }
-      });
+  switch (route) {
+    case Route::kF32:
+      simd::csr_spmm_t_f32_avx2(row_ptr_.data(), col_idx_.data(), values_.data(), 0, rows_,
+                                bt.data(), m, rows_, cp);
+      break;
+    case Route::kI8:
+      simd::csr_spmm_t_i8_avx2(row_ptr_.data(), col_idx_.data(), quant_.q8.data(),
+                               quant_.scale.data(), shift, 0, rows_, bt.data(), m, rows_, cp);
+      break;
+    case Route::kI4:
+      simd::csr_spmm_t_i4_avx2(row_ptr_.data(), col_idx_.data(), quant_.q4.data(),
+                               quant_.scale.data(), shift, 0, rows_, bt.data(), m, rows_, cp);
+      break;
+    case Route::kScalar: break;  // handled above
+  }
   return c;
 }
 

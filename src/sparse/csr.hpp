@@ -13,7 +13,6 @@
 #include "sparse/quant.hpp"
 #include "tensor/tensor.hpp"
 #include "util/cpuinfo.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ndsnn::sparse {
 
@@ -56,55 +55,28 @@ class Csr {
   /// int32 and the shared scale applied once per output, removing the
   /// per-active-input dequantise multiply. Null, non-binary input, or a
   /// per-row-scaled plane all fall back to the general path.
-  ///
-  /// `tier` is accepted for dispatch-surface uniformity and resolved
-  /// like spmm's, but every tier currently runs the same body: the
-  /// gather is a serial scattered-accumulate whose bitwise contract
-  /// (one double chain per output in ascending j order) leaves no
-  /// reassociation for wider lanes to exploit.
   void spmv_gather(const float* x, const int32_t* active, int64_t n_active,
-                   double* acc, int32_t* iacc = nullptr,
-                   util::simd::Tier tier = util::simd::Tier::kAuto) const;
+                   double* acc, int32_t* iacc = nullptr) const;
 
   /// Scatter one row scaled by x: out[col * out_stride] += value * x for
   /// every nonzero of `row`. Float adds, ascending column order. The
   /// event-driven conv path uses this with `this` = Wᵀ [C*K*K, F],
-  /// row = patch column, out_stride = OH*OW. `tier` mirrors
-  /// spmv_gather's: accepted, resolved, single body (strided scatter
-  /// stores have no AVX2 win without scatter instructions).
-  void scatter_row(int64_t row, float x, float* out, int64_t out_stride,
-                   util::simd::Tier tier = util::simd::Tier::kAuto) const;
-
-  /// scatter_row restricted to columns in [col_begin, col_end): the
-  /// ranged form the event-driven conv path uses to partition work by
-  /// output channel — each chunk owns a disjoint channel strip, and
-  /// within a strip the per-output accumulation order is unchanged.
-  void scatter_row_range(int64_t row, float x, float* out, int64_t out_stride,
-                         int64_t col_begin, int64_t col_end) const;
+  /// row = patch column, out_stride = OH*OW.
+  void scatter_row(int64_t row, float x, float* out, int64_t out_stride) const;
 
   /// y[rows] = A * x[cols] (sparse mat-vec).
   [[nodiscard]] std::vector<float> matvec(const std::vector<float>& x) const;
 
   /// C[rows, n] = A * B for dense B [cols, n] (the "N" variant; conv
-  /// lowering: W_csr[F, CKK] * cols[CKK, L]). With a pool, the rows are
-  /// partitioned into nnz-balanced ranges (prefix sums over row_ptr) and
-  /// computed in parallel; each output row keeps its serial accumulation
-  /// order, so results are bitwise lane-count-independent. Work below
-  /// util::kMinParallelWork stays serial.
-  ///
-  /// `tier` selects the kernel tier (resolved via util::simd::resolve;
-  /// kAuto follows the process-wide active tier). The kAvx2 fp32 body
-  /// keeps the C row in registers across 4 fused axpys with explicit
-  /// mul+add steps, so per output element the rounding sequence — and
-  /// hence the result — is bitwise identical to the scalar body.
-  [[nodiscard]] tensor::Tensor spmm(const tensor::Tensor& b,
-                                    util::ThreadPool* pool = nullptr,
-                                    util::simd::Tier tier = util::simd::Tier::kAuto) const;
+  /// lowering: W_csr[F, CKK] * cols[CKK, L]). One body at every tier:
+  /// each nonzero scales one row of B into its C row as a contiguous
+  /// axpy the compiler vectorises.
+  [[nodiscard]] tensor::Tensor spmm(const tensor::Tensor& b) const;
 
   /// C[m, rows] = B * Aᵀ for dense B [m, cols] (the "T" variant; linear
-  /// layers: x[M, in] * Wᵀ with W stored CSR [out, in]). Pool semantics
-  /// mirror spmm: the CSR rows (columns of C) are nnz-balance
-  /// partitioned, each C element still accumulates serially.
+  /// layers: x[M, in] * Wᵀ with W stored CSR [out, in]). `tier` selects
+  /// the kernel tier (resolved via util::simd::resolve; kAuto follows
+  /// the process-wide active tier).
   ///
   /// At kAvx2 (batch m >= 8 and enough nonzeros to amortize it) the
   /// driver first materializes bt = Bᵀ so one broadcast weight serves 8
@@ -115,7 +87,6 @@ class Csr {
   /// per-row or group scales natively (quantised execution carries only
   /// the QuantPlane error contract, not bitwise equality).
   [[nodiscard]] tensor::Tensor spmm_t(const tensor::Tensor& b,
-                                      util::ThreadPool* pool = nullptr,
                                       util::simd::Tier tier = util::simd::Tier::kAuto) const;
 
   /// Quantise the value plane in place: int8 or packed-int4 codes with
@@ -174,9 +145,8 @@ class Csr {
   [[nodiscard]] const std::vector<float>& values() const { return values_; }
 
  private:
-  /// Row-range bodies of spmm/spmm_t (fp32 and quantised): the units the
-  /// pool dispatches. Each runs rows [r0, r1) exactly like the serial
-  /// kernel.
+  /// Row-range bodies of spmm/spmm_t (fp32 and quantised): each runs
+  /// CSR rows [r0, r1); the drivers call them once over all rows.
   void spmm_range(int64_t r0, int64_t r1, const float* bp, int64_t n, float* cp) const;
   void spmm_t_range(int64_t r0, int64_t r1, const float* bp, int64_t m, float* cp) const;
 

@@ -77,25 +77,6 @@ __attribute__((target("avx2,fma"))) inline float decode_i4(const uint8_t* q4,
 
 }  // namespace
 
-__attribute__((target("avx2,fma"))) void csr_spmm_f32_avx2(
-    const int64_t* row_ptr, const int32_t* col_idx, const float* values,
-    int64_t r0, int64_t r1, const float* bp, int64_t n, float* cp) {
-  const float* brows[4];
-  float vs[4];
-  for (int64_t r = r0; r < r1; ++r) {
-    const int64_t k1 = row_ptr[r + 1];
-    float* crow = cp + r * n;
-    for (int64_t k = row_ptr[r]; k < k1; k += 4) {
-      const int cnt = static_cast<int>(k1 - k < 4 ? k1 - k : 4);
-      for (int t = 0; t < cnt; ++t) {
-        vs[t] = values[k + t];
-        brows[t] = bp + static_cast<int64_t>(col_idx[k + t]) * n;
-      }
-      axpy_group(crow, n, vs, brows, cnt);
-    }
-  }
-}
-
 __attribute__((target("avx2,fma"))) void csr_spmm_t_f32_avx2(
     const int64_t* row_ptr, const int32_t* col_idx, const float* values,
     int64_t r0, int64_t r1, const float* bt, int64_t m, int64_t out_stride,
@@ -312,8 +293,6 @@ __attribute__((target("avx2,fma"))) void matmul_f32_avx2(const float* a,
        // because built_with_avx2() is false and detected() caps below
        // kAvx2 off x86.
 
-void csr_spmm_f32_avx2(const int64_t*, const int32_t*, const float*, int64_t,
-                       int64_t, const float*, int64_t, float*) {}
 void csr_spmm_t_f32_avx2(const int64_t*, const int32_t*, const float*, int64_t,
                          int64_t, const float*, int64_t, int64_t, float*) {}
 void csr_spmm_t_i8_avx2(const int64_t*, const int32_t*, const int8_t*,

@@ -16,8 +16,7 @@
 // The batch-panel spmm_t bodies read B through its transpose
 // bt = Bᵀ [cols x m] (row-major, row stride m): one weight broadcast
 // then serves 8 batch lanes from a contiguous load. Callers build bt
-// once per call (transpose_f32) before fanning the row ranges out to
-// the pool.
+// once per call (transpose_f32).
 //
 // All bodies are compiled with __attribute__((target("avx2,fma"))) so
 // a generic x86-64 build still links and runs — cpuinfo's detected()
@@ -37,18 +36,11 @@ namespace ndsnn::sparse::simd {
 /// separate question — util::simd::detected() answers it.
 bool built_with_avx2();
 
-/// out[c * rows + r] = in[r * cols + c]. Plain strided copy (no FP
-/// ops, trivially bitwise); exposed so the spmm_t drivers can build bt
-/// in parallel column strips.
+/// out[c * rows + r] = in[r * cols + c] for input columns c in
+/// [c0, c1). Plain strided copy (no FP ops, trivially bitwise); the
+/// drivers that build bt call it over all columns.
 void transpose_f32(const float* in, int64_t rows, int64_t cols, float* out,
                    int64_t c0, int64_t c1);
-
-/// fp32 Csr::spmm rows [r0, r1): C[r, :] += v * B[col, :] per nonzero,
-/// ascending, with the C row kept in registers across 4 nonzeros per
-/// pass (the win over the per-nonzero autovectorized axpy).
-void csr_spmm_f32_avx2(const int64_t* row_ptr, const int32_t* col_idx,
-                       const float* values, int64_t r0, int64_t r1,
-                       const float* bp, int64_t n, float* cp);
 
 /// fp32 Csr::spmm_t rows [r0, r1): cp[i * out_stride + r] =
 /// float(sum_k (double)v_k * (double)bt[col_k * m + i]), 8 batch lanes

@@ -18,8 +18,7 @@ void check_rank2(const Tensor& t, const char* name) {
 }
 }  // namespace
 
-void matmul_acc(const Tensor& a, const Tensor& b, Tensor& c, util::ThreadPool* pool,
-                util::simd::Tier tier) {
+void matmul_acc(const Tensor& a, const Tensor& b, Tensor& c, util::simd::Tier tier) {
   check_rank2(a, "A");
   check_rank2(b, "B");
   const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
@@ -30,33 +29,27 @@ void matmul_acc(const Tensor& a, const Tensor& b, Tensor& c, util::ThreadPool* p
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
-  const bool avx2 = util::simd::resolve(tier) == util::simd::Tier::kAvx2 &&
-                    simd::built_with_avx2() && n >= 8;
-  // i-k-j ordering: unit-stride inner loop over B and C rows. Rows of C
-  // are independent, so the pooled path hands each chunk a row range.
-  const auto rows = [&](int64_t i0, int64_t i1) {
-    if (avx2) {
-      simd::matmul_f32_avx2(pa, pb, i0, i1, k, n, pc);
-      return;
+  if (util::simd::resolve(tier) == util::simd::Tier::kAvx2 && simd::built_with_avx2() &&
+      n >= 8) {
+    simd::matmul_f32_avx2(pa, pb, 0, m, k, n, pc);
+    return;
+  }
+  // i-k-j ordering: unit-stride inner loop over B and C rows.
+  for (int64_t i = 0; i < m; ++i) {
+    float* crow = pc + i * n;
+    const float* arow = pa + i * k;
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const float aval = arow[kk];
+      if (aval == 0.0F) continue;  // sparse weights: skip pruned entries
+      const float* brow = pb + kk * n;
+      for (int64_t j = 0; j < n; ++j) crow[j] += aval * brow[j];
     }
-    for (int64_t i = i0; i < i1; ++i) {
-      float* crow = pc + i * n;
-      const float* arow = pa + i * k;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float aval = arow[kk];
-        if (aval == 0.0F) continue;  // sparse weights: skip pruned entries
-        const float* brow = pb + kk * n;
-        for (int64_t j = 0; j < n; ++j) crow[j] += aval * brow[j];
-      }
-    }
-  };
-  util::parallel_even(pool, 0, m, m * k * n, rows);
+  }
 }
 
-Tensor matmul(const Tensor& a, const Tensor& b, util::ThreadPool* pool,
-              util::simd::Tier tier) {
+Tensor matmul(const Tensor& a, const Tensor& b, util::simd::Tier tier) {
   Tensor c(Shape{a.dim(0), b.dim(1)});
-  matmul_acc(a, b, c, pool, tier);
+  matmul_acc(a, b, c, tier);
   return c;
 }
 
@@ -89,8 +82,7 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-void matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& c, util::ThreadPool* pool,
-                   util::simd::Tier tier) {
+void matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& c, util::simd::Tier tier) {
   check_rank2(a, "A");
   check_rank2(b, "B");
   const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
@@ -109,33 +101,25 @@ void matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& c, util::ThreadPool
     // output's chain is exact, so results stay bitwise identical to the
     // scalar gather.
     std::vector<float> bt(static_cast<std::size_t>(k * n));
-    util::parallel_even(pool, 0, k, k * n, [&](int64_t k0, int64_t k1) {
-      simd::transpose_f32(pb, n, k, bt.data(), k0, k1);
-    });
-    util::parallel_even(pool, 0, m, m * k * n, [&](int64_t i0, int64_t i1) {
-      simd::matmul_nt_f32_avx2(pa, bt.data(), i0, i1, k, n, pc);
-    });
+    simd::transpose_f32(pb, n, k, bt.data(), 0, k);
+    simd::matmul_nt_f32_avx2(pa, bt.data(), 0, m, k, n, pc);
     return;
   }
-  const auto rows = [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      const float* arow = pa + i * k;
-      float* crow = pc + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        const float* brow = pb + j * k;
-        double acc = 0.0;
-        for (int64_t kk = 0; kk < k; ++kk) acc += static_cast<double>(arow[kk]) * brow[kk];
-        crow[j] += static_cast<float>(acc);
-      }
+  for (int64_t i = 0; i < m; ++i) {
+    const float* arow = pa + i * k;
+    float* crow = pc + i * n;
+    for (int64_t j = 0; j < n; ++j) {
+      const float* brow = pb + j * k;
+      double acc = 0.0;
+      for (int64_t kk = 0; kk < k; ++kk) acc += static_cast<double>(arow[kk]) * brow[kk];
+      crow[j] += static_cast<float>(acc);
     }
-  };
-  util::parallel_even(pool, 0, m, m * k * n, rows);
+  }
 }
 
-Tensor matmul_nt(const Tensor& a, const Tensor& b, util::ThreadPool* pool,
-                 util::simd::Tier tier) {
+Tensor matmul_nt(const Tensor& a, const Tensor& b, util::simd::Tier tier) {
   Tensor c(Shape{a.dim(0), b.dim(0)});
-  matmul_nt_acc(a, b, c, pool, tier);
+  matmul_nt_acc(a, b, c, tier);
   return c;
 }
 

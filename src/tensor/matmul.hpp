@@ -7,12 +7,7 @@
 // Blocked i-k-j loops; good enough for the CPU-scale experiments here.
 //
 // matmul and matmul_nt (the two kernels the inference runtime's dense
-// fallback ops run) optionally take a util::ThreadPool and partition by
-// output row of C. Each C row is produced by exactly one chunk with the
-// unchanged serial accumulation order, so the pooled results are
-// bitwise identical to the serial ones for any lane count; small
-// products (work below util::kMinParallelWork) stay serial.
-// matmul and matmul_nt additionally take a kernel tier (resolved via
+// fallback ops run) take a kernel tier (resolved via
 // util::simd::resolve): the kAvx2 bodies keep the exact per-output
 // rounding sequence of the scalar loops (explicit mul+add float chains
 // for matmul, exact double chains for matmul_nt), so results are
@@ -22,25 +17,22 @@
 
 #include "tensor/tensor.hpp"
 #include "util/cpuinfo.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ndsnn::tensor {
 
 [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b,
-                            util::ThreadPool* pool = nullptr,
                             util::simd::Tier tier = util::simd::Tier::kAuto);
 [[nodiscard]] Tensor matmul_tn(const Tensor& a, const Tensor& b);
 [[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b,
-                               util::ThreadPool* pool = nullptr,
                                util::simd::Tier tier = util::simd::Tier::kAuto);
 
 /// C += A * B (accumulating variant used by BPTT weight-gradient sums).
-void matmul_acc(const Tensor& a, const Tensor& b, Tensor& c, util::ThreadPool* pool = nullptr,
+void matmul_acc(const Tensor& a, const Tensor& b, Tensor& c,
                 util::simd::Tier tier = util::simd::Tier::kAuto);
 /// C += Aᵀ * B
 void matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& c);
 /// C += A * Bᵀ
-void matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& c, util::ThreadPool* pool = nullptr,
+void matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& c,
                    util::simd::Tier tier = util::simd::Tier::kAuto);
 
 }  // namespace ndsnn::tensor

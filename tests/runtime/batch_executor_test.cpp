@@ -153,24 +153,15 @@ TEST(BatchExecutorTest, RejectsZeroThreads) {
   EXPECT_THROW(BatchExecutor(compiled, 0), std::invalid_argument);
 }
 
-TEST(BatchExecutorTest, SplitsBudgetBetweenRequestsAndIntraOp) {
-  nn::ModelSpec spec;
-  spec.in_channels = 1;
-  spec.image_size = 16;
-  spec.timesteps = 2;
-  spec.seed = 19;
-  const auto net = nn::make_lenet5(spec);
-  CompileOptions opts;
-  opts.num_threads = 4;
-  const CompiledNetwork pooled = CompiledNetwork::compile(*net, opts);
-  ASSERT_EQ(pooled.intra_op_threads(), 4);
-  // 8-thread budget over a 4-lane plan: 2 request workers, not 8.
-  BatchExecutor exec(pooled, 8);
-  EXPECT_EQ(exec.num_threads(), 2);
-  EXPECT_EQ(exec.intra_op_threads(), 4);
-  // Budget below the intra width still gets one worker.
-  BatchExecutor narrow(pooled, 2);
-  EXPECT_EQ(narrow.num_threads(), 1);
+TEST(BatchExecutorTest, SpawnsExactlyTheRequestedWorkers) {
+  // A compiled plan owns no threads: num_threads is the request worker
+  // count.
+  const CompiledNetwork compiled = make_compiled(19);
+  for (const int64_t n : {int64_t{1}, int64_t{3}}) {
+    BatchExecutor exec(compiled, n);
+    EXPECT_EQ(exec.num_threads(), n);
+    EXPECT_EQ(static_cast<int64_t>(exec.stats().utilization_per_worker.size()), n);
+  }
 }
 
 TEST(BatchExecutorTest, QueueWaitStatsTrackEnqueueToStart) {

@@ -17,7 +17,6 @@
 #include "tensor/matmul.hpp"
 #include "tensor/random.hpp"
 #include "util/cpuinfo.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ndsnn::sparse {
 namespace {
@@ -77,18 +76,16 @@ TEST(SimdTierTest, DetectedTierIsExecutable) {
   EXPECT_TRUE(simd::built_with_avx2() || util::simd::detected() != Tier::kAvx2);
 }
 
-TEST(SimdTierTest, CsrSpmmTBitwiseAcrossTiersAndThreads) {
+TEST(SimdTierTest, CsrSpmmTBitwiseAcrossTiers) {
   // fc1 scale, plus a ragged batch (13 = 8 + 5 tail) so the 8-lane
   // AVX2 batch panels hit their cleanup path.
   const Tensor w = sparse_matrix(120, 400, 0.9, 7);
   const Csr csr = Csr::from_dense(w);
-  util::ThreadPool pool(3);
   for (const int64_t m : {13L, 8L, 32L}) {
     const Tensor b = dense_batch(m, 400, 11);
-    const Tensor ref = csr.spmm_t(b, nullptr, Tier::kScalar);
+    const Tensor ref = csr.spmm_t(b, Tier::kScalar);
     for (const Tier tier : kTiers) {
-      expect_bitwise(csr.spmm_t(b, nullptr, tier), ref, "csr spmm_t serial");
-      expect_bitwise(csr.spmm_t(b, &pool, tier), ref, "csr spmm_t pooled");
+      expect_bitwise(csr.spmm_t(b, tier), ref, "csr spmm_t");
     }
   }
 }
@@ -98,45 +95,27 @@ TEST(SimdTierTest, CsrSpmmTSmallBatchFallsBackBitwise) {
   const Tensor w = sparse_matrix(40, 64, 0.8, 3);
   const Csr csr = Csr::from_dense(w);
   const Tensor b = dense_batch(3, 64, 5);
-  const Tensor ref = csr.spmm_t(b, nullptr, Tier::kScalar);
+  const Tensor ref = csr.spmm_t(b, Tier::kScalar);
   for (const Tier tier : kTiers) {
-    expect_bitwise(csr.spmm_t(b, nullptr, tier), ref, "csr spmm_t small batch");
-  }
-}
-
-TEST(SimdTierTest, CsrSpmmBitwiseAcrossTiers) {
-  const Tensor w = sparse_matrix(64, 120, 0.85, 9);
-  const Csr csr = Csr::from_dense(w);
-  util::ThreadPool pool(2);
-  for (const int64_t n : {24L, 9L}) {  // n % 8 != 0 exercises the j tail
-    const Tensor b = dense_batch(120, n, 13);
-    const Tensor ref = csr.spmm(b, nullptr, Tier::kScalar);
-    for (const Tier tier : kTiers) {
-      expect_bitwise(csr.spmm(b, nullptr, tier), ref, "csr spmm serial");
-      expect_bitwise(csr.spmm(b, &pool, tier), ref, "csr spmm pooled");
-    }
+    expect_bitwise(csr.spmm_t(b, tier), ref, "csr spmm_t small batch");
   }
 }
 
 TEST(SimdTierTest, DenseMatmulBitwiseAcrossTiers) {
   const Tensor a = sparse_matrix(33, 48, 0.6, 31);  // zero-skip path has real zeros
   const Tensor b = dense_batch(48, 19, 37);
-  util::ThreadPool pool(2);
-  const Tensor ref = tensor::matmul(a, b, nullptr, Tier::kScalar);
+  const Tensor ref = tensor::matmul(a, b, Tier::kScalar);
   for (const Tier tier : kTiers) {
-    expect_bitwise(tensor::matmul(a, b, nullptr, tier), ref, "matmul serial");
-    expect_bitwise(tensor::matmul(a, b, &pool, tier), ref, "matmul pooled");
+    expect_bitwise(tensor::matmul(a, b, tier), ref, "matmul");
   }
 }
 
 TEST(SimdTierTest, DenseMatmulNtBitwiseAcrossTiers) {
   const Tensor a = dense_batch(13, 48, 41);
   const Tensor w = sparse_matrix(31, 48, 0.5, 43);  // B of matmul_nt = weights [n, k]
-  util::ThreadPool pool(3);
-  const Tensor ref = tensor::matmul_nt(a, w, nullptr, Tier::kScalar);
+  const Tensor ref = tensor::matmul_nt(a, w, Tier::kScalar);
   for (const Tier tier : kTiers) {
-    expect_bitwise(tensor::matmul_nt(a, w, nullptr, tier), ref, "matmul_nt serial");
-    expect_bitwise(tensor::matmul_nt(a, w, &pool, tier), ref, "matmul_nt pooled");
+    expect_bitwise(tensor::matmul_nt(a, w, tier), ref, "matmul_nt");
   }
 }
 
@@ -164,12 +143,12 @@ TEST(SimdTierTest, CsrSpmmTQuantisedTiersAgreeWithinTolerance) {
       Csr csr = Csr::from_dense(w);
       (void)csr.quantize(p, /*symmetric=*/true, /*uniform_scale=*/false, group);
       const Tensor b = dense_batch(13, 400, 59);
-      const Tensor ref = csr.spmm_t(b, nullptr, Tier::kScalar);
+      const Tensor ref = csr.spmm_t(b, Tier::kScalar);
       // int4 codes are coarse; the per-output dot products here sum
       // ~40 nonzero terms of magnitude <= 2, so 1e-3 is far below the
       // quantisation error yet far above fp32 reassociation noise.
       for (const Tier tier : kTiers) {
-        expect_close(csr.spmm_t(b, nullptr, tier), ref, 1e-3F, "quantised csr spmm_t");
+        expect_close(csr.spmm_t(b, tier), ref, 1e-3F, "quantised csr spmm_t");
       }
     }
   }

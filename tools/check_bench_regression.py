@@ -295,11 +295,7 @@ def main(argv):
     if not check_kernel_tiers(fresh):
         failed = True
 
-    # Informational (not gated: thread wins are core-count bound and the
-    # snapshot may come from a smaller box than CI).
-    tk = fresh.get("threads_kernel", {})
-    if tk:
-        print(f"info: spmm speedup at 4 threads = {tk.get('spmm_speedup_4t', 0):.2f}x")
+    # Informational, not gated.
     breakdown = fresh.get("op_breakdown", {})
     if breakdown.get("ops"):
         hottest = max(breakdown["ops"],
