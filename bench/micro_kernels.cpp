@@ -212,10 +212,10 @@ BENCHMARK(BM_CsrSpmmT)->Apply(MinOfRepeats)->Arg(0)->Arg(1);
 //
 // The fc1-scale layer ([120 x 400] at 0.9 unstructured sparsity, the
 // shape the runtime's LinearOp gate targets) through each SIMD tier of
-// CSR spmm_t explicitly. Arg: tier id (1 = scalar, 2 = vector, 3 = avx2). Tiers
+// CSR spmm_t explicitly. Arg: tier id (1 = scalar, 2 = avx2). Tiers
 // above what the box detects are skipped instead of measured — the
 // dispatch layer would silently clamp the request and the "avx2" row
-// would quietly time the vector kernel.
+// would quietly time the scalar kernel.
 
 Tensor make_fc1_matrix(uint64_t seed) {
   Rng rng(seed);
@@ -246,7 +246,7 @@ void BM_CsrSpmmTTier(benchmark::State& state) {
   state.SetLabel(simd::name(tier));
   state.SetItemsProcessed(state.iterations() * 2 * csr.nnz() * 256);
 }
-BENCHMARK(BM_CsrSpmmTTier)->Apply(MinOfRepeats)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_CsrSpmmTTier)->Apply(MinOfRepeats)->Arg(1)->Arg(2);
 
 }  // namespace
 

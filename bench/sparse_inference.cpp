@@ -3,9 +3,10 @@
 // Builds a zoo model, masks its weights at each target sparsity, compiles
 // a dense plan (backend = kDense) and a CSR plan, and reports
 // single-thread latency/throughput plus the speedup the compiled
-// sparsity buys. Further sections cover the quantised-value planes — the Sec. III-D 8/4-bit storage claim paired with measured
-// throughput and bytes-touched numbers, both at the kernel level (fp32
-// vs int8/int4 CSR spmm_t on the lenet5 fc1-scale layer) and end to end
+// sparsity buys. Further sections cover the quantised-value planes — the
+// Sec. III-D 8-bit storage claim paired with measured throughput and
+// bytes-touched numbers, both at the kernel level (fp32 vs int8 CSR
+// spmm_t on the lenet5 fc1-scale layer) and end to end
 // (whole plans per precision) — and a BatchExecutor request-worker sweep.
 //
 //   ./bench/sparse_inference [--arch lenet5] [--batch 8] [--timesteps 2]
@@ -174,9 +175,9 @@ int main(int argc, char** argv) {
   // Quantised value planes, kernel level: the fc1-scale layer
   // ([120 x 400], He-init magnitudes, 0.9 sparsity) under the
   // dense-activation CSR spmm_t — the exact kernel runtime::LinearOp
-  // runs — with fp32 vs int8 vs packed-int4 storage. Spike-valued input
-  // at a 10% rate (the regime the documented 1e-2/5e-2 error tolerances
-  // are stated for); error columns are against the fp32 kernel.
+  // runs — with fp32 vs int8 storage. Spike-valued input at a 10% rate
+  // (the regime the documented 1e-2 error tolerance is stated for);
+  // error columns are against the fp32 kernel.
   // This is the Sec. III-D storage accounting finally paired with
   // measured throughput and bytes touched.
   std::printf("\nquantised CSR kernels, lenet5 fc1-scale [120 x 400] at 0.9 sparsity:\n");
@@ -207,8 +208,7 @@ int main(int argc, char** argv) {
     json.kv("firing_rate", 0.10);
     json.key("precisions").begin_array();
     for (const auto precision :
-         {ndsnn::sparse::Precision::kFp32, ndsnn::sparse::Precision::kInt8,
-          ndsnn::sparse::Precision::kInt4}) {
+         {ndsnn::sparse::Precision::kFp32, ndsnn::sparse::Precision::kInt8}) {
       ndsnn::sparse::Csr csr = ndsnn::sparse::Csr::from_dense(w);
       (void)csr.quantize(precision);
       (void)csr.spmm_t(x);  // warm-up
@@ -244,15 +244,15 @@ int main(int argc, char** argv) {
   }
 
   // SIMD kernel tiers: the same fc1-scale layer through every tier this
-  // box can execute — the scalar reference, the gcc-vector-extension
-  // baseline, and the hand-written AVX2 kernels — per precision, for
+  // box can execute — the scalar reference and the hand-written AVX2
+  // kernels — per precision, for
   // the CSR spmm_t LinearOp runs (Csr::spmm has one body at every
   // tier). Timing is min-of-repeats:
   // the minimum over individually-timed calls is the least noisy
   // location statistic on a shared box, and it is what
   // tools/check_bench_regression.py gates on. AVX2 columns only exist
   // when the box actually detected avx2 (a forced request would clamp
-  // to the vector tier and silently measure the wrong kernel).
+  // to the scalar tier and silently measure the wrong kernel).
   std::printf("\nkernel tiers, lenet5 fc1-scale [120 x 400] at 0.9 sparsity:\n");
   {
     namespace simd = ndsnn::util::simd;
@@ -280,8 +280,8 @@ int main(int argc, char** argv) {
       return best;
     };
 
-    ndsnn::util::Table tiers_table({"kernel", "precision", "scalar ms", "vector ms",
-                                    "avx2 ms", "avx2 speedup"});
+    ndsnn::util::Table tiers_table(
+        {"kernel", "precision", "scalar ms", "avx2 ms", "avx2 speedup"});
     double avx2_fp32_spmm_t_speedup = has_avx2 ? 0.0 : -1.0;
     json.key("kernel_tiers").begin_object();
     json.kv("detected", simd::name(simd::detected()));
@@ -291,8 +291,7 @@ int main(int argc, char** argv) {
     json.kv("weight_sparsity", 0.9);
     json.key("kernels").begin_array();
     for (const auto precision :
-         {ndsnn::sparse::Precision::kFp32, ndsnn::sparse::Precision::kInt8,
-          ndsnn::sparse::Precision::kInt4}) {
+         {ndsnn::sparse::Precision::kFp32, ndsnn::sparse::Precision::kInt8}) {
       ndsnn::sparse::Csr csr = ndsnn::sparse::Csr::from_dense(w);
       if (precision != ndsnn::sparse::Precision::kFp32) (void)csr.quantize(precision);
       const auto run_tier = [&](simd::Tier tier) {
@@ -302,22 +301,19 @@ int main(int argc, char** argv) {
         });
       };
       const double scalar_ms = run_tier(simd::Tier::kScalar);
-      const double vector_ms = run_tier(simd::Tier::kVector);
       const double avx2_ms = has_avx2 ? run_tier(simd::Tier::kAvx2) : -1.0;
-      const double avx2_speedup = has_avx2 ? vector_ms / avx2_ms : -1.0;
+      const double avx2_speedup = has_avx2 ? scalar_ms / avx2_ms : -1.0;
       if (precision == ndsnn::sparse::Precision::kFp32) {
         avx2_fp32_spmm_t_speedup = avx2_speedup;
       }
-      tiers_table.add_row(
-          {"spmm_t", ndsnn::sparse::precision_tag(precision),
-           ndsnn::util::fmt(scalar_ms, 3), ndsnn::util::fmt(vector_ms, 3),
-           has_avx2 ? ndsnn::util::fmt(avx2_ms, 3) : "-",
-           has_avx2 ? ndsnn::util::fmt(avx2_speedup, 2) + "x" : "-"});
+      tiers_table.add_row({"spmm_t", ndsnn::sparse::precision_tag(precision),
+                           ndsnn::util::fmt(scalar_ms, 3),
+                           has_avx2 ? ndsnn::util::fmt(avx2_ms, 3) : "-",
+                           has_avx2 ? ndsnn::util::fmt(avx2_speedup, 2) + "x" : "-"});
       json.begin_object();
       json.kv("kernel", "spmm_t");
       json.kv("precision", ndsnn::sparse::precision_tag(precision));
       json.kv("scalar_ms", scalar_ms);
-      json.kv("vector_ms", vector_ms);
       json.kv("avx2_ms", avx2_ms);
       json.kv("avx2_speedup", avx2_speedup);
       json.end_object();
@@ -327,7 +323,7 @@ int main(int argc, char** argv) {
     json.end_object();
     tiers_table.print();
     if (has_avx2) {
-      std::printf("avx2 over vector fp32 spmm_t: %.2fx %s\n", avx2_fp32_spmm_t_speedup,
+      std::printf("avx2 over scalar fp32 spmm_t: %.2fx %s\n", avx2_fp32_spmm_t_speedup,
                   avx2_fp32_spmm_t_speedup >= 1.5 ? "(>= 1.5x target met)"
                                                   : "(below 1.5x target!)");
     } else {
@@ -347,8 +343,7 @@ int main(int argc, char** argv) {
     double fp32_ms = 0.0;
     json.key("precision_plans").begin_array();
     for (const auto precision :
-         {ndsnn::runtime::WeightPrecision::kFp32, ndsnn::runtime::WeightPrecision::kInt8,
-          ndsnn::runtime::WeightPrecision::kInt4}) {
+         {ndsnn::runtime::WeightPrecision::kFp32, ndsnn::runtime::WeightPrecision::kInt8}) {
       ndsnn::runtime::CompileOptions opts;
       opts.backend = ndsnn::runtime::Backend::kCsr;
       opts.activation_mode = ndsnn::runtime::ActivationMode::kDense;

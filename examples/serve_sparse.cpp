@@ -8,8 +8,8 @@
 //   ./examples/serve_sparse [--sparsity 0.95] [--epochs 4] [--threads 4]
 //                           [--requests 32] [--batch 8] [--nm 2:4]
 //                           [--activation auto|dense|event]
-//                           [--precision auto|fp32|int8|int4]
-//                           [--kernel-tier auto|scalar|vector|avx2]
+//                           [--precision auto|fp32|int8]
+//                           [--kernel-tier auto|scalar|avx2]
 //                           [--slo-ms 0]
 //                           [--save-checkpoint model.ndck]
 //                           [--checkpoint model.ndck]
@@ -44,9 +44,9 @@
 // prints it. Without --listen, the CLI loop below is the fallback.
 //
 // --precision selects the stored bit width of the sparse weight value
-// planes (default auto: per layer, the lowest width whose measured
-// quantisation error stays bounded — int8 in practice). An explicit
-// int8/int4 with --save-checkpoint writes a v3 checkpoint whose
+// planes (default auto: per layer, int8 when its measured quantisation
+// error stays bounded, else fp32). An explicit int8 with
+// --save-checkpoint writes a v3 checkpoint whose
 // quantisation record (per-layer precision + per-row scales) a later
 // `--checkpoint --precision auto` serve reproduces exactly.
 //
@@ -206,11 +206,11 @@ void print_help() {
       "serve_sparse — train/load a sparse SNN and serve it\n"
       "\n"
       "quantisation options (runtime::QuantOptions):\n"
-      "  --precision auto|fp32|int8|int4         stored weight precision\n"
+      "  --precision auto|fp32|int8              stored weight precision\n"
       "\n"
       "execution options (runtime::ExecOptions):\n"
       "  --activation auto|dense|event           activation representation\n"
-      "  --kernel-tier auto|scalar|vector|avx2   pin the SIMD dispatch tier\n"
+      "  --kernel-tier auto|scalar|avx2          pin the SIMD dispatch tier\n"
       "\n"
       "executor / scheduling:\n"
       "  --threads N        request workers (default 4)\n"
@@ -256,11 +256,11 @@ int main(int argc, char** argv) {
   opts.activation_mode = parse_activation(cli.get_string("--activation", "auto"));
   const std::string precision_spec = cli.get_string("--precision", "auto");
   opts.weight_precision = ndsnn::runtime::parse_weight_precision(precision_spec);
-  // --kernel-tier pins the SIMD dispatch tier (scalar|vector|avx2|auto)
+  // --kernel-tier pins the SIMD dispatch tier (scalar|avx2|auto)
   // for reproducible serving across heterogeneous fleets.
   const std::string tier_spec = cli.get_string("--kernel-tier", "auto");
   if (!ndsnn::util::simd::parse(tier_spec, &opts.kernel_tier)) {
-    std::fprintf(stderr, "unknown --kernel-tier '%s' (want scalar|vector|avx2|auto)\n",
+    std::fprintf(stderr, "unknown --kernel-tier '%s' (want scalar|avx2|auto)\n",
                  tier_spec.c_str());
     return 1;
   }
@@ -458,15 +458,10 @@ int main(int argc, char** argv) {
   // deployment's per-layer precision + per-row scales.
   if (!save_checkpoint.empty()) {
     const ndsnn::nn::CheckpointMeta meta{exp.arch, exp.model_spec};
-    if (opts.weight_precision == ndsnn::runtime::WeightPrecision::kInt8 ||
-        opts.weight_precision == ndsnn::runtime::WeightPrecision::kInt4) {
-      const auto precision =
-          opts.weight_precision == ndsnn::runtime::WeightPrecision::kInt8
-              ? ndsnn::sparse::Precision::kInt8
-              : ndsnn::sparse::Precision::kInt4;
+    if (opts.weight_precision == ndsnn::runtime::WeightPrecision::kInt8) {
       ndsnn::nn::save_checkpoint_file(
           save_checkpoint, *exp.network, meta,
-          ndsnn::nn::build_quant_record(*exp.network, precision));
+          ndsnn::nn::build_quant_record(*exp.network, ndsnn::sparse::Precision::kInt8));
       std::printf("saved v3 checkpoint (quant record: %s) to %s\n",
                   precision_spec.c_str(), save_checkpoint.c_str());
     } else {

@@ -97,14 +97,6 @@ uint32_t read_header(std::istream& in) {
 }
 
 void write_quant_record(std::ostream& out, const QuantRecord& quant) {
-  // Validate the whole record before emitting a single byte: a throw
-  // mid-write would leave a corrupt, partially-written v3 file behind.
-  for (const QuantRecordLayer& layer : quant.layers) {
-    if (layer.zeros.size() != layer.scales.size()) {
-      throw std::runtime_error("save_checkpoint: quant record scales/zeros mismatch for " +
-                               layer.param);
-    }
-  }
   write_pod(out, static_cast<uint32_t>(quant.layers.size()));
   for (const QuantRecordLayer& layer : quant.layers) {
     write_string(out, layer.param);
@@ -113,8 +105,10 @@ void write_quant_record(std::ostream& out, const QuantRecord& quant) {
     write_pod(out, groups);
     out.write(reinterpret_cast<const char*>(layer.scales.data()),
               static_cast<std::streamsize>(groups * sizeof(float)));
-    out.write(reinterpret_cast<const char*>(layer.zeros.data()),
-              static_cast<std::streamsize>(groups));
+    // One zero-point byte per group, always 0: planes are symmetric.
+    // The byte stays in the v3 layout so older files keep loading.
+    const std::vector<char> zero_points(groups, 0);
+    out.write(zero_points.data(), static_cast<std::streamsize>(groups));
   }
 }
 
@@ -137,19 +131,20 @@ QuantRecord read_quant_record(std::istream& in) {
   for (QuantRecordLayer& layer : quant.layers) {
     layer.param = read_string(in);
     const auto p = read_pod<uint8_t>(in);
-    if (p > static_cast<uint8_t>(sparse::Precision::kInt4)) {
+    if (p > static_cast<uint8_t>(sparse::Precision::kInt8)) {
       throw std::runtime_error("checkpoint: bad precision tag for " + layer.param);
     }
     layer.precision = static_cast<sparse::Precision>(p);
     const auto groups = read_pod<uint64_t>(in);
     if (groups > (1ULL << 24)) throw std::runtime_error("checkpoint: bad quant group count");
     layer.scales.resize(groups);
-    layer.zeros.resize(groups);
     in.read(reinterpret_cast<char*>(layer.scales.data()),
             static_cast<std::streamsize>(groups * sizeof(float)));
-    in.read(reinterpret_cast<char*>(layer.zeros.data()),
-            static_cast<std::streamsize>(groups));
-    if (!in) throw std::runtime_error("checkpoint: truncated quant record");
+    // Skip the zero-point bytes (always 0; see write_quant_record).
+    in.ignore(static_cast<std::streamsize>(groups));
+    if (!in || in.gcount() != static_cast<std::streamsize>(groups)) {
+      throw std::runtime_error("checkpoint: truncated quant record");
+    }
   }
   return quant;
 }
@@ -265,7 +260,6 @@ QuantRecord build_quant_record(SpikingNetwork& network, sparse::Precision precis
     // Csr::quantize will; quantise a copy so the network is untouched.
     tensor::Tensor copy = *p.value;
     layer.scales = sparse::fake_quantize_rows(copy, precision);
-    layer.zeros.assign(layer.scales.size(), 0);
     record.layers.push_back(std::move(layer));
   }
   return record;

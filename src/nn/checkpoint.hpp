@@ -8,7 +8,8 @@
 //       needed to rebuild it) before the v1 parameter section;
 //   v3: v2 plus a quantisation record between the meta block and the
 //       parameters — per prunable weight layer, the deployed value
-//       precision and its per-row scales/zero-points, so a served model
+//       precision and its per-row scales (plus one always-0 zero-point
+//       byte per row, kept for layout compatibility), so a served model
 //       reproduces the exact quantised plane the checkpoint was
 //       validated at (runtime::CompiledNetwork::from_checkpoint honors
 //       it under WeightPrecision::kAuto).
@@ -40,7 +41,7 @@ struct CheckpointMeta {
 
 /// Quantisation record of a v3 checkpoint: one entry per prunable
 /// weight parameter, in params() order (== the order the runtime
-/// compiler visits weight layers). Scales/zero-points are per row of
+/// compiler visits weight layers). Scales are per row of
 /// the lowered [dim(0), numel/dim(0)] weight — for dense-activation
 /// layers exactly what sparse::Csr::quantize derives (event-path
 /// layers quantise the transposed structure, so their deployed groups
@@ -52,7 +53,6 @@ struct QuantRecordLayer {
   std::string param;  ///< parameter name, e.g. "layer0.weight"
   sparse::Precision precision = sparse::Precision::kFp32;
   std::vector<float> scales;
-  std::vector<int8_t> zeros;
 };
 
 struct QuantRecord {
@@ -60,7 +60,7 @@ struct QuantRecord {
 };
 
 /// Build the record for deploying `network` at `precision`: symmetric
-/// per-row scales (zero-points all 0) over every prunable parameter.
+/// per-row scales over every prunable parameter.
 [[nodiscard]] QuantRecord build_quant_record(SpikingNetwork& network,
                                              sparse::Precision precision);
 

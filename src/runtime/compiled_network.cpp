@@ -107,9 +107,9 @@ Kernel pick_kernel(const Tensor& weight, const CompileOptions& opts) {
 /// The value-plane precision heuristic. Quantised planes live on the
 /// sparse formats, so dense-kernel layers always execute fp32. Under
 /// kAuto a per-layer override vector (filled from a v3 checkpoint's
-/// quantisation record) wins; otherwise the layer takes the lowest bit
-/// width whose measured per-row reconstruction error stays under
-/// quant_max_error — a calibration on the actual weight values, not a
+/// quantisation record) wins; otherwise the layer takes int8 when its
+/// measured per-row reconstruction error stays under quant_max_error —
+/// a calibration on the actual weight values, not a
 /// fixed bitwidth-based rule, so outlier-heavy layers stay fp32. The
 /// weight-layer counter advances for *every* weight layer (dense ones
 /// included) to keep the override indexing aligned with the prunable
@@ -117,7 +117,7 @@ Kernel pick_kernel(const Tensor& weight, const CompileOptions& opts) {
 /// actually emit: event-path linear layers quantise Wᵀ with a *uniform*
 /// plane-wide scale (the binary-spike int32 gather's precondition), so
 /// `uniform_error` measures that scheme instead of the per-row one —
-/// both share the 1/(2*qmax) worst case on the global-relative metric,
+/// both share the 1/254 worst case on the global-relative metric,
 /// but the measured values differ and the bound must gate the real
 /// plane.
 sparse::Precision pick_precision(const Tensor& weight, Kernel kernel, bool uniform_error,
@@ -128,22 +128,13 @@ sparse::Precision pick_precision(const Tensor& weight, Kernel kernel, bool unifo
   switch (opts.weight_precision) {
     case WeightPrecision::kFp32: return sparse::Precision::kFp32;
     case WeightPrecision::kInt8: return sparse::Precision::kInt8;
-    case WeightPrecision::kInt4: return sparse::Precision::kInt4;
     case WeightPrecision::kAuto: break;
   }
   if (index < opts.layer_precisions.size()) return opts.layer_precisions[index];
-  // Grouped scales only deploy on non-uniform CSR planes; the error
-  // measurement mirrors exactly the scheme the plane will carry, so a
-  // group size that lets int4 clear the bound also quantises that way.
-  const int64_t group =
-      (kernel == Kernel::kCsr && !uniform_error) ? opts.quant_group_size : 0;
-  for (const sparse::Precision p : {sparse::Precision::kInt4, sparse::Precision::kInt8}) {
-    if (sparse::relative_quant_error(weight, p, opts.prune_threshold, uniform_error,
-                                     group) <= static_cast<float>(opts.quant_max_error)) {
-      return p;
-    }
-  }
-  return sparse::Precision::kFp32;
+  return sparse::relative_quant_error(weight, sparse::Precision::kInt8, opts.prune_threshold,
+                                      uniform_error) <= static_cast<float>(opts.quant_max_error)
+             ? sparse::Precision::kInt8
+             : sparse::Precision::kFp32;
 }
 
 std::unique_ptr<Op> compile_layer(const nn::Layer& layer, Lowering& lw);
@@ -258,7 +249,6 @@ const char* weight_precision_name(WeightPrecision p) {
     case WeightPrecision::kAuto: return "auto";
     case WeightPrecision::kFp32: return "fp32";
     case WeightPrecision::kInt8: return "int8";
-    case WeightPrecision::kInt4: return "int4";
   }
   return "?";
 }
@@ -267,9 +257,8 @@ WeightPrecision parse_weight_precision(const std::string& s) {
   if (s == "auto") return WeightPrecision::kAuto;
   if (s == "fp32") return WeightPrecision::kFp32;
   if (s == "int8") return WeightPrecision::kInt8;
-  if (s == "int4") return WeightPrecision::kInt4;
-  throw std::invalid_argument("parse_weight_precision: expected auto|fp32|int8|int4, got '" +
-                              s + "'");
+  throw std::invalid_argument("parse_weight_precision: expected auto|fp32|int8, got '" + s +
+                              "'");
 }
 
 CompiledNetwork CompiledNetwork::compile(const nn::SpikingNetwork& net,
@@ -290,12 +279,6 @@ CompiledNetwork CompiledNetwork::compile(const nn::SpikingNetwork& net,
   }
   if (opts.quant_max_error < 0.0) {
     throw std::invalid_argument("CompiledNetwork: quant_max_error must be >= 0");
-  }
-  if (opts.quant_group_size != 0 &&
-      (opts.quant_group_size < 4 ||
-       (opts.quant_group_size & (opts.quant_group_size - 1)) != 0)) {
-    throw std::invalid_argument(
-        "CompiledNetwork: quant_group_size must be 0 or a power of two >= 4");
   }
   if (dynamic_cast<const snn::DirectEncoder*>(&net.encoder()) == nullptr) {
     throw std::invalid_argument(
@@ -333,7 +316,7 @@ CompiledNetwork CompiledNetwork::from_checkpoint(const std::string& path,
   nn::QuantRecord record;
   const auto net = nn::load_checkpoint_network(path, &record);
   // A v3 quantisation record pins the deployed per-layer precisions;
-  // it applies under kAuto (explicit fp32/int8/int4 always wins), and
+  // it applies under kAuto (explicit fp32/int8 always wins), and
   // caller-supplied overrides are respected.
   if (opts.weight_precision == WeightPrecision::kAuto && opts.layer_precisions.empty() &&
       !record.layers.empty()) {

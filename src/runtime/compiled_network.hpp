@@ -68,20 +68,19 @@ enum class ActivationMode {
 
 /// Stored bit width of the sparse weight value planes (Sec. III-D).
 /// Dense-kernel layers always execute fp32 — the quantised planes live
-/// on sparse::Csr — so a forced kInt8/kInt4 applies to every
-/// *sparse* weight layer and leaves dense fallbacks untouched.
+/// on sparse::Csr — so a forced kInt8 applies to every *sparse* weight
+/// layer and leaves dense fallbacks untouched.
 enum class WeightPrecision {
-  kAuto,   ///< per layer: the lowest bit width whose measured weight
-           ///< reconstruction error stays <= quant_max_error; a v3
+  kAuto,   ///< per layer: int8 when its measured weight reconstruction
+           ///< error stays <= quant_max_error, else fp32; a v3
            ///< checkpoint's recorded per-layer precisions win when
            ///< compiling via from_checkpoint
   kFp32,   ///< no quantisation (default: keeps the bitwise contract)
   kInt8,
-  kInt4,
 };
 
 [[nodiscard]] const char* weight_precision_name(WeightPrecision p);
-/// Parse "auto" | "fp32" | "int8" | "int4" (CLI surface); throws
+/// Parse "auto" | "fp32" | "int8" (CLI surface); throws
 /// std::invalid_argument otherwise.
 [[nodiscard]] WeightPrecision parse_weight_precision(const std::string& s);
 
@@ -113,8 +112,7 @@ struct QuantOptions {
   /// kAuto precision bar: quantise a layer only when its per-row
   /// symmetric reconstruction error (max |dequant - w| / max |w|,
   /// sparse::relative_quant_error) stays at or under this. The default
-  /// 0.02 admits int8 everywhere (~0.4% per-row error) and rejects int4
-  /// (~7%) — int4 is an explicit opt-in.
+  /// 0.02 admits int8 everywhere (~0.4% per-row error).
   double quant_max_error = 0.02;
   /// kAuto only: per-weight-layer precision overrides in body order
   /// (the order Plan::reports lists weight ops, == the order of
@@ -130,15 +128,6 @@ struct QuantOptions {
   /// carry the nominal precision; bytes reflect the fp32 storage the
   /// fake plan actually holds.
   bool fake_quant = false;
-  /// Quantisation group size for *CSR* value planes under int8/int4: 0
-  /// (default) keeps one scale per row; a power of two G >= 4 scales
-  /// each run of G stored codes independently (sparse::QuantPlane::
-  /// group_size), shrinking per-group dynamic range so int4 passes the
-  /// quant_max_error bar on layers per-row scaling rejects. The kAuto
-  /// precision calibration measures the same grouped scheme. Ignored by
-  /// event-path planes (the binary-spike int32 gather needs one uniform
-  /// scale).
-  int64_t quant_group_size = 0;
 };
 
 /// Execution knobs: how the lowered plan runs — activation path and
@@ -160,11 +149,10 @@ struct ExecOptions {
   /// compile time via util::simd::resolve, so a plan's execution is
   /// reproducible regardless of later NDSNN_KERNEL_TIER / force()
   /// changes). kAuto takes the detected tier; explicit tiers clamp to
-  /// it (requesting kAvx2 on a non-AVX2 host runs kVector, never
+  /// it (requesting kAvx2 on a non-AVX2 host runs kScalar, never
   /// SIGILLs). fp32 results are bitwise identical across tiers, so this
   /// is purely a performance knob — pin kScalar to reproduce the
-  /// reference kernels, or kVector to benchmark against the
-  /// autovectorised baseline.
+  /// reference kernels.
   util::simd::Tier kernel_tier = util::simd::Tier::kAuto;
 };
 

@@ -35,16 +35,13 @@ LinearOp::LinearOp(const nn::Linear& src, Kernel kernel, sparse::Precision preci
     case Kernel::kCsr:
       if (event_) {
         csr_t_ = sparse::Csr::from_weights(src.weight(), opts.prune_threshold).transposed();
-        (void)csr_t_.quantize(precision_, /*symmetric=*/true, /*uniform_scale=*/true);
+        (void)csr_t_.quantize(precision_, /*uniform_scale=*/true);
         if (opts.fake_quant) csr_t_.dequantize();
         stored_ = csr_t_.nnz();
         bytes_ = csr_t_.memory_bytes();
       } else {
         csr_ = sparse::Csr::from_weights(src.weight(), opts.prune_threshold);
-        // Dense-activation planes take the grouped-scale knob; the
-        // event plane above must stay uniform (int32 gather contract).
-        (void)csr_.quantize(precision_, /*symmetric=*/true, /*uniform_scale=*/false,
-                            opts.quant_group_size);
+        (void)csr_.quantize(precision_);
         if (opts.fake_quant) csr_.dequantize();
         stored_ = csr_.nnz();
         bytes_ = csr_.memory_bytes();

@@ -8,34 +8,12 @@
 
 namespace ndsnn::sparse {
 
-float Csr::quantize(Precision precision, bool symmetric, bool uniform_scale,
-                    int64_t group_size) {
+float Csr::quantize(Precision precision, bool uniform_scale) {
   if (precision == Precision::kFp32) return 0.0F;
   if (quant_.present()) throw std::logic_error("Csr::quantize: already quantised");
   float err = 0.0F;
-  if (group_size > 0) {
-    if (!symmetric || uniform_scale) {
-      throw std::invalid_argument(
-          "Csr::quantize: group_size requires symmetric, non-uniform quantisation");
-    }
-    if ((group_size & (group_size - 1)) != 0) {
-      throw std::invalid_argument("Csr::quantize: group_size must be a power of two");
-    }
-    // Fixed-size groups over the value array, synthesized as a group_ptr
-    // so the per-row machinery is reused verbatim (last group may be
-    // short).
-    std::vector<int64_t> group_ptr;
-    group_ptr.reserve(static_cast<std::size_t>(nnz() / group_size) + 2);
-    for (int64_t k = 0; k < nnz(); k += group_size) group_ptr.push_back(k);
-    group_ptr.push_back(nnz());
-    quant_ = quantize_grouped(values_.data(), group_ptr.data(),
-                              static_cast<int64_t>(group_ptr.size()) - 1, precision,
-                              symmetric, &err, false);
-    quant_.group_size = group_size;
-  } else {
-    quant_ = quantize_grouped(values_.data(), row_ptr_.data(), rows_, precision, symmetric,
-                              &err, uniform_scale);
-  }
+  quant_ = quantize_grouped(values_.data(), row_ptr_.data(), rows_, precision, &err,
+                            uniform_scale);
   values_.clear();
   values_.shrink_to_fit();
   return err;
@@ -144,29 +122,12 @@ Csr Csr::transposed() const {
 void Csr::spmv_gather(const float* x, const int32_t* active, int64_t n_active,
                       double* acc, int32_t* iacc) const {
   if (quant_.present()) {
-    if (const int shift = quant_.group_shift(); shift >= 0) {
-      // Fixed-size grouped plane (always symmetric): fold the group
-      // scale into each code. Groups straddle rows, so there is no
-      // per-input scale to hoist.
-      const float* scale = quant_.scale.data();
-      for (int64_t a = 0; a < n_active; ++a) {
-        const auto j = static_cast<std::size_t>(active[a]);
-        const double xj = static_cast<double>(x[j]);
-        for (int64_t k = row_ptr_[j]; k < row_ptr_[j + 1]; ++k) {
-          acc[col_idx_[static_cast<std::size_t>(k)]] +=
-              static_cast<double>(scale[k >> shift] *
-                                  static_cast<float>(quant_.code(k))) *
-              xj;
-        }
-      }
-      return;
-    }
-    // Binary-spike fast path: with one plane-wide scale (uniform) and a
-    // zero zero-point, {0,1} activations make every contribution a raw
-    // code, so the whole gather is int32 adds plus one scale multiply
-    // per output. Gate on the actual activation values — a forced event
-    // mode can route analog inputs here.
-    if (quant_.uniform && iacc != nullptr && n_active > 0 && quant_.zero[0] == 0) {
+    // Binary-spike fast path: with one plane-wide scale (uniform), {0,1}
+    // activations make every contribution a raw code, so the whole
+    // gather is int32 adds plus one scale multiply per output. Gate on
+    // the actual activation values — a forced event mode can route
+    // analog inputs here.
+    if (quant_.uniform && iacc != nullptr && n_active > 0) {
       bool binary = true;
       for (int64_t a = 0; a < n_active; ++a) binary &= x[active[a]] == 1.0F;
       if (binary) {
@@ -174,8 +135,7 @@ void Csr::spmv_gather(const float* x, const int32_t* active, int64_t n_active,
         for (int64_t a = 0; a < n_active; ++a) {
           const auto j = static_cast<std::size_t>(active[a]);
           for (int64_t k = row_ptr_[j]; k < row_ptr_[j + 1]; ++k) {
-            iacc[col_idx_[static_cast<std::size_t>(k)]] +=
-                static_cast<int32_t>(quant_.code(k));
+            iacc[col_idx_[static_cast<std::size_t>(k)]] += quant_.q8[static_cast<std::size_t>(k)];
           }
         }
         const double s = static_cast<double>(quant_.scale[0]);
@@ -191,10 +151,9 @@ void Csr::spmv_gather(const float* x, const int32_t* active, int64_t n_active,
     for (int64_t a = 0; a < n_active; ++a) {
       const auto j = static_cast<std::size_t>(active[a]);
       const double u = static_cast<double>(quant_.scale[j] * x[j]);
-      const int zp = quant_.zero[j];
       for (int64_t k = row_ptr_[j]; k < row_ptr_[j + 1]; ++k) {
         acc[col_idx_[static_cast<std::size_t>(k)]] +=
-            static_cast<double>(static_cast<int>(quant_.code(k)) - zp) * u;
+            static_cast<double>(quant_.q8[static_cast<std::size_t>(k)]) * u;
       }
     }
     return;
@@ -213,19 +172,10 @@ void Csr::scatter_row(int64_t row, float x, float* out, int64_t out_stride) cons
   const int64_t k0 = row_ptr_[static_cast<std::size_t>(row)];
   const int64_t k1 = row_ptr_[static_cast<std::size_t>(row) + 1];
   if (quant_.present()) {
-    if (const int shift = quant_.group_shift(); shift >= 0) {
-      const float* scale = quant_.scale.data();
-      for (int64_t k = k0; k < k1; ++k) {
-        out[static_cast<int64_t>(col_idx_[static_cast<std::size_t>(k)]) * out_stride] +=
-            scale[k >> shift] * static_cast<float>(quant_.code(k)) * x;
-      }
-      return;
-    }
     const float xs = quant_.scale[static_cast<std::size_t>(row)] * x;
-    const int zp = quant_.zero[static_cast<std::size_t>(row)];
     for (int64_t k = k0; k < k1; ++k) {
       out[static_cast<int64_t>(col_idx_[static_cast<std::size_t>(k)]) * out_stride] +=
-          static_cast<float>(static_cast<int>(quant_.code(k)) - zp) * xs;
+          static_cast<float>(quant_.q8[static_cast<std::size_t>(k)]) * xs;
     }
     return;
   }
@@ -244,22 +194,12 @@ std::vector<float> Csr::matvec(const std::vector<float>& x) const {
     const int64_t k0 = row_ptr_[static_cast<std::size_t>(r)];
     const int64_t k1 = row_ptr_[static_cast<std::size_t>(r) + 1];
     double acc = 0.0;
-    if (const int shift = quant_.group_shift(); shift >= 0) {
+    if (quant_.present()) {
       for (int64_t k = k0; k < k1; ++k) {
-        acc += static_cast<double>(quant_.scale[k >> shift] *
-                                   static_cast<float>(quant_.code(k))) *
+        acc += static_cast<double>(quant_.q8[static_cast<std::size_t>(k)]) *
                x[static_cast<std::size_t>(col_idx_[static_cast<std::size_t>(k)])];
       }
-    } else if (quant_.present()) {
-      double qacc = 0.0, xsum = 0.0;
-      for (int64_t k = k0; k < k1; ++k) {
-        const double xk = x[static_cast<std::size_t>(col_idx_[static_cast<std::size_t>(k)])];
-        qacc += static_cast<double>(quant_.code(k)) * xk;
-        xsum += xk;
-      }
-      const auto g = static_cast<std::size_t>(r);
-      acc = static_cast<double>(quant_.scale[g]) *
-            (qacc - static_cast<double>(quant_.zero[g]) * xsum);
+      acc *= static_cast<double>(quant_.scale[static_cast<std::size_t>(r)]);
     } else {
       for (int64_t k = k0; k < k1; ++k) {
         acc += static_cast<double>(values_[static_cast<std::size_t>(k)]) *
@@ -273,57 +213,21 @@ std::vector<float> Csr::matvec(const std::vector<float>& x) const {
 
 void Csr::spmm_range(int64_t r0, int64_t r1, const float* bp, int64_t n, float* cp) const {
   if (quant_.present()) {
-    if (const int shift = quant_.group_shift(); shift >= 0) {
-      // Fixed-size grouped plane: the scale changes within a row, so
-      // dequantise per nonzero (one extra multiply per axpy) instead of
-      // once per output row.
-      const float* scale = quant_.scale.data();
-      for (int64_t r = r0; r < r1; ++r) {
-        float* crow = cp + r * n;
-        for (int64_t k = row_ptr_[static_cast<std::size_t>(r)];
-             k < row_ptr_[static_cast<std::size_t>(r) + 1]; ++k) {
-          const float v = scale[k >> shift] * static_cast<float>(quant_.code(k));
-          const float* brow =
-              bp + static_cast<int64_t>(col_idx_[static_cast<std::size_t>(k)]) * n;
-          for (int64_t j = 0; j < n; ++j) crow[j] += v * brow[j];
-        }
-      }
-      return;
-    }
     // Accumulate raw-code axpys into row r, then dequantise the row
-    // once: C[r, :] = scale_r * (sum_k q_k B[col_k, :] - zero_r * sum_k
-    // B[col_k, :]). The zero-point sum is skipped entirely for the
-    // symmetric planes the runtime builds.
-    std::vector<float> xrow;
+    // once: C[r, :] = scale_r * sum_k q_k B[col_k, :].
     for (int64_t r = r0; r < r1; ++r) {
       const int64_t k0 = row_ptr_[static_cast<std::size_t>(r)];
       const int64_t k1 = row_ptr_[static_cast<std::size_t>(r) + 1];
       if (k0 == k1) continue;
       float* crow = cp + r * n;
-      const int zp = quant_.zero[static_cast<std::size_t>(r)];
-      if (zp != 0) xrow.assign(static_cast<std::size_t>(n), 0.0F);
       for (int64_t k = k0; k < k1; ++k) {
-        const auto qv = static_cast<float>(quant_.code(k));
+        const auto qv = static_cast<float>(quant_.q8[static_cast<std::size_t>(k)]);
         const float* brow =
             bp + static_cast<int64_t>(col_idx_[static_cast<std::size_t>(k)]) * n;
-        if (zp != 0) {
-          for (int64_t j = 0; j < n; ++j) {
-            crow[j] += qv * brow[j];
-            xrow[static_cast<std::size_t>(j)] += brow[j];
-          }
-        } else {
-          for (int64_t j = 0; j < n; ++j) crow[j] += qv * brow[j];
-        }
+        for (int64_t j = 0; j < n; ++j) crow[j] += qv * brow[j];
       }
       const float s = quant_.scale[static_cast<std::size_t>(r)];
-      if (zp != 0) {
-        const auto z = static_cast<float>(zp);
-        for (int64_t j = 0; j < n; ++j) {
-          crow[j] = s * (crow[j] - z * xrow[static_cast<std::size_t>(j)]);
-        }
-      } else {
-        for (int64_t j = 0; j < n; ++j) crow[j] *= s;
-      }
+      for (int64_t j = 0; j < n; ++j) crow[j] *= s;
     }
     return;
   }
@@ -353,7 +257,7 @@ tensor::Tensor Csr::spmm(const tensor::Tensor& b) const {
 
 namespace {
 
-/// Quantised spmm_t row kernel, int8 symmetric fast path: the bitwise
+/// Quantised spmm_t row kernel: the bitwise
 /// contract does not apply to quantised execution, so the sum runs in
 /// four independent float partials (the serial double chain the fp32
 /// kernel is pinned to is latency-bound) and dequantises once at the
@@ -372,92 +276,18 @@ inline float spmm_t_row_i8(const int8_t* q, const int32_t* col, int64_t count,
   return scale * ((a0 + a1) + (a2 + a3));
 }
 
-/// int4 symmetric fast path: the packed codes sit two per byte in
-/// exactly the order the row walks them, so each loaded byte feeds two
-/// independent accumulator chains (plus a third pair on the unrolled
-/// second byte). Leading/trailing odd positions fall back to single
-/// nibble decodes.
-inline float spmm_t_row_i4(const uint8_t* q4, int64_t k0, int64_t k1, const int32_t* col,
-                           const float* brow, float scale) {
-  const auto decode = [q4](int64_t k) {
-    const uint8_t byte = q4[k >> 1];
-    return (k & 1) != 0 ? static_cast<float>(static_cast<int8_t>(byte) >> 4)
-                        : static_cast<float>(static_cast<int8_t>(byte << 4) >> 4);
-  };
-  float a0 = 0.0F, a1 = 0.0F, a2 = 0.0F, a3 = 0.0F;
-  int64_t k = k0;
-  if ((k & 1) != 0 && k < k1) {
-    a0 += decode(k) * brow[col[k]];
-    ++k;
-  }
-  for (; k + 4 <= k1; k += 4) {
-    const uint8_t b0 = q4[k >> 1];
-    const uint8_t b1 = q4[(k >> 1) + 1];
-    a0 += static_cast<float>(static_cast<int8_t>(b0 << 4) >> 4) * brow[col[k]];
-    a1 += static_cast<float>(static_cast<int8_t>(b0) >> 4) * brow[col[k + 1]];
-    a2 += static_cast<float>(static_cast<int8_t>(b1 << 4) >> 4) * brow[col[k + 2]];
-    a3 += static_cast<float>(static_cast<int8_t>(b1) >> 4) * brow[col[k + 3]];
-  }
-  for (; k < k1; ++k) a0 += decode(k) * brow[col[k]];
-  return scale * ((a0 + a1) + (a2 + a3));
-}
-
-/// Fixed-size grouped plane (always symmetric): the scale varies within
-/// the row, so fold scale[k >> shift] into each code. Two independent
-/// partials, matching the other quantised row kernels' reassociation
-/// freedom.
-inline float spmm_t_row_grouped(const QuantPlane& plane, int shift, int64_t k0, int64_t k1,
-                                const int32_t* col, const float* brow) {
-  const float* scale = plane.scale.data();
-  float a0 = 0.0F, a1 = 0.0F;
-  int64_t k = k0;
-  for (; k + 2 <= k1; k += 2) {
-    a0 += scale[k >> shift] * static_cast<float>(plane.code(k)) * brow[col[k]];
-    a1 += scale[(k + 1) >> shift] * static_cast<float>(plane.code(k + 1)) *
-          brow[col[k + 1]];
-  }
-  if (k < k1) a0 += scale[k >> shift] * static_cast<float>(plane.code(k)) * brow[col[k]];
-  return a0 + a1;
-}
-
-/// Generic quantised spmm_t row (nonzero zero-point): accumulate codes
-/// and the activation sum, dequantise once.
-inline float spmm_t_row_quant(const QuantPlane& plane, int64_t g, int64_t k0, int64_t k1,
-                              const int32_t* col, const float* brow) {
-  float qacc = 0.0F, xsum = 0.0F;
-  for (int64_t k = k0; k < k1; ++k) {
-    const float x = brow[col[k]];
-    qacc += static_cast<float>(plane.code(k)) * x;
-    xsum += x;
-  }
-  const auto gi = static_cast<std::size_t>(g);
-  return plane.scale[gi] * (qacc - static_cast<float>(plane.zero[gi]) * xsum);
-}
-
 }  // namespace
 
 void Csr::spmm_t_range(int64_t r0, int64_t r1, const float* bp, int64_t m, float* cp) const {
   if (quant_.present()) {
-    const int shift = quant_.group_shift();
-    bool any_zero = false;
-    for (const int8_t z : quant_.zero) any_zero |= z != 0;
     for (int64_t i = 0; i < m; ++i) {
       const float* brow = bp + i * cols_;
       float* crow = cp + i * rows_;
       for (int64_t r = r0; r < r1; ++r) {
         const int64_t k0 = row_ptr_[static_cast<std::size_t>(r)];
         const int64_t k1 = row_ptr_[static_cast<std::size_t>(r) + 1];
-        if (shift >= 0) {
-          crow[r] = spmm_t_row_grouped(quant_, shift, k0, k1, col_idx_.data(), brow);
-          continue;
-        }
-        const float scale = quant_.scale[static_cast<std::size_t>(r)];
-        crow[r] = any_zero ? spmm_t_row_quant(quant_, r, k0, k1, col_idx_.data(), brow)
-                  : quant_.precision == Precision::kInt8
-                      ? spmm_t_row_i8(quant_.q8.data() + k0, col_idx_.data() + k0, k1 - k0,
-                                      brow, scale)
-                      : spmm_t_row_i4(quant_.q4.data(), k0, k1, col_idx_.data(), brow,
-                                      scale);
+        crow[r] = spmm_t_row_i8(quant_.q8.data() + k0, col_idx_.data() + k0, k1 - k0, brow,
+                                quant_.scale[static_cast<std::size_t>(r)]);
       }
     }
     return;
@@ -490,47 +320,23 @@ tensor::Tensor Csr::spmm_t(const tensor::Tensor& b, util::simd::Tier tier) const
   tensor::Tensor c(tensor::Shape{m, rows_});
   const float* bp = b.data();
   float* cp = c.data();
-  // AVX2 batch-panel routes. Building bt = Bᵀ costs one pass over B, so
+  // AVX2 batch-panel route. Building bt = Bᵀ costs one pass over B, so
   // demand a batch wide enough for the 8-lane body (m >= 8) and at
   // least as many nonzeros as B columns (each nonzero is revisited m
-  // times — below that the transpose dominates). Quantised planes
-  // additionally need every zero-point at 0 (the FMA bodies fold codes
-  // directly; the affine path stays scalar).
-  enum class Route { kScalar, kF32, kI8, kI4 };
-  Route route = Route::kScalar;
-  if (util::simd::resolve(tier) == util::simd::Tier::kAvx2 && simd::built_with_avx2() &&
-      m >= 8 && nnz() >= cols_) {
-    if (!quant_.present()) {
-      route = Route::kF32;
-    } else {
-      bool any_zero = false;
-      for (const int8_t z : quant_.zero) any_zero |= z != 0;
-      if (!any_zero) {
-        route = quant_.precision == Precision::kInt8 ? Route::kI8 : Route::kI4;
-      }
-    }
-  }
-  if (route == Route::kScalar) {
+  // times — below that the transpose dominates).
+  if (util::simd::resolve(tier) != util::simd::Tier::kAvx2 || !simd::built_with_avx2() ||
+      m < 8 || nnz() < cols_) {
     spmm_t_range(0, rows_, bp, m, cp);
     return c;
   }
   std::vector<float> bt(static_cast<std::size_t>(cols_ * m));
   simd::transpose_f32(bp, m, cols_, bt.data(), 0, cols_);
-  const int shift = quant_.group_shift();
-  switch (route) {
-    case Route::kF32:
-      simd::csr_spmm_t_f32_avx2(row_ptr_.data(), col_idx_.data(), values_.data(), 0, rows_,
-                                bt.data(), m, rows_, cp);
-      break;
-    case Route::kI8:
-      simd::csr_spmm_t_i8_avx2(row_ptr_.data(), col_idx_.data(), quant_.q8.data(),
-                               quant_.scale.data(), shift, 0, rows_, bt.data(), m, rows_, cp);
-      break;
-    case Route::kI4:
-      simd::csr_spmm_t_i4_avx2(row_ptr_.data(), col_idx_.data(), quant_.q4.data(),
-                               quant_.scale.data(), shift, 0, rows_, bt.data(), m, rows_, cp);
-      break;
-    case Route::kScalar: break;  // handled above
+  if (quant_.present()) {
+    simd::csr_spmm_t_i8_avx2(row_ptr_.data(), col_idx_.data(), quant_.q8.data(),
+                             quant_.scale.data(), 0, rows_, bt.data(), m, rows_, cp);
+  } else {
+    simd::csr_spmm_t_f32_avx2(row_ptr_.data(), col_idx_.data(), values_.data(), 0, rows_,
+                              bt.data(), m, rows_, cp);
   }
   return c;
 }

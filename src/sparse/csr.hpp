@@ -83,37 +83,30 @@ class Csr {
   /// contiguous batch lanes; fp32 runs two 4-wide double chains whose
   /// per-lane sequence equals the scalar double chain exactly (a
   /// float*float product is exact in double), so fp32 stays bitwise
-  /// across tiers. Symmetric int8/int4 planes take FMA bodies that read
-  /// per-row or group scales natively (quantised execution carries only
-  /// the QuantPlane error contract, not bitwise equality).
+  /// across tiers. int8 planes take an FMA body that applies each row's
+  /// scale once per output (quantised execution carries only the
+  /// QuantPlane error contract, not bitwise equality).
   [[nodiscard]] tensor::Tensor spmm_t(const tensor::Tensor& b,
                                       util::simd::Tier tier = util::simd::Tier::kAuto) const;
 
-  /// Quantise the value plane in place: int8 or packed-int4 codes with
-  /// one scale/zero-point per row (symmetric by default, so all
-  /// zero-points are 0). The fp32 value array is released — the memory
-  /// win is real, not just accounted — and every kernel above
-  /// transparently dispatches to its quantised variant, which
-  /// dequantises once per output (or once per active input on the
-  /// gather path) instead of once per term. Quantised kernels carry no
-  /// bitwise contract: they are free to reassociate (multi-accumulator
-  /// float sums) and promise only the QuantPlane error bound
-  /// (sum_k (scale_k / 2) * |x_k| per output; see sparse/quant.hpp).
-  /// Returns the max-abs reconstruction error over all values. Throws
-  /// std::logic_error when already quantised; no-op returning 0 for
-  /// kFp32. transposed() must be called *before* quantize (the runtime
-  /// quantises the final execution-orientation structure).
+  /// Quantise the value plane in place: symmetric int8 codes with one
+  /// scale per row. The fp32 value array is released — the memory win
+  /// is real, not just accounted — and every kernel above transparently
+  /// dispatches to its quantised variant, which dequantises once per
+  /// output (or once per active input on the gather path) instead of
+  /// once per term. Quantised kernels carry no bitwise contract: they
+  /// are free to reassociate (multi-accumulator float sums) and promise
+  /// only the QuantPlane error bound (sum_k (scale_k / 2) * |x_k| per
+  /// output; see sparse/quant.hpp). Returns the max-abs reconstruction
+  /// error over all values. Throws std::logic_error when already
+  /// quantised; no-op returning 0 for kFp32. transposed() must be
+  /// called *before* quantize (the runtime quantises the final
+  /// execution-orientation structure).
   /// `uniform_scale` shares one plane-wide scale across all rows (see
   /// sparse::quantize_grouped) — what the runtime requests for
   /// event-path gather structures so binary spike batches can take the
   /// int32 fast path in spmv_gather.
-  /// `group_size` > 0 replaces the per-row grouping with fixed-size
-  /// runs of that many codes over the value array (power of two, may
-  /// straddle row boundaries; see QuantPlane::group_size) — finer
-  /// scales that localize int4's error. Requires symmetric mode and is
-  /// mutually exclusive with uniform_scale.
-  float quantize(Precision precision, bool symmetric = true, bool uniform_scale = false,
-                 int64_t group_size = 0);
+  float quantize(Precision precision, bool uniform_scale = false);
 
   /// Inverse companion of quantize(): materialize the *dequantised*
   /// fp32 values and drop the plane, so the bitwise fp32 kernels above
@@ -136,8 +129,8 @@ class Csr {
   [[nodiscard]] int64_t storage_bits(int64_t value_bits, int64_t index_bits) const;
 
   /// Bytes this structure actually occupies right now: indices + row
-  /// pointers + the fp32 values or the quantised plane (codes + scales
-  /// + zero-points). The runtime's per-op bytes-touched reporting.
+  /// pointers + the fp32 values or the quantised plane (codes +
+  /// scales). The runtime's per-op bytes-touched reporting.
   [[nodiscard]] int64_t memory_bytes() const;
 
   [[nodiscard]] const std::vector<int64_t>& row_ptr() const { return row_ptr_; }

@@ -65,16 +65,6 @@ __attribute__((target("avx2,fma"))) void axpy_group(float* crow, int64_t n,
   }
 }
 
-/// Decode one packed int4 code (two's-complement nibble), identical to
-/// the scalar kernels' decode.
-__attribute__((target("avx2,fma"))) inline float decode_i4(const uint8_t* q4,
-                                                           int64_t k) {
-  const auto byte = static_cast<int8_t>(q4[k >> 1]);
-  return (k & 1) != 0
-             ? static_cast<float>(byte >> 4)
-             : static_cast<float>(static_cast<int8_t>(static_cast<uint8_t>(byte) << 4) >> 4);
-}
-
 }  // namespace
 
 __attribute__((target("avx2,fma"))) void csr_spmm_t_f32_avx2(
@@ -120,8 +110,8 @@ __attribute__((target("avx2,fma"))) void csr_spmm_t_f32_avx2(
 
 __attribute__((target("avx2,fma"))) void csr_spmm_t_i8_avx2(
     const int64_t* row_ptr, const int32_t* col_idx, const int8_t* q8,
-    const float* scale, int group_shift, int64_t r0, int64_t r1,
-    const float* bt, int64_t m, int64_t out_stride, float* cp) {
+    const float* scale, int64_t r0, int64_t r1, const float* bt, int64_t m,
+    int64_t out_stride, float* cp) {
   const int64_t m8 = m & ~int64_t{7};
   for (int64_t i = 0; i < m8; i += 8) {
     for (int64_t r = r0; r < r1; ++r) {
@@ -132,29 +122,21 @@ __attribute__((target("avx2,fma"))) void csr_spmm_t_i8_avx2(
       const int64_t k1 = row_ptr[r + 1];
       int64_t k = row_ptr[r];
       for (; k + 2 <= k1; k += 2) {
-        float c0 = static_cast<float>(q8[k]);
-        float c1 = static_cast<float>(q8[k + 1]);
-        if (group_shift >= 0) {
-          c0 *= scale[k >> group_shift];
-          c1 *= scale[(k + 1) >> group_shift];
-        }
         acc_a = _mm256_fmadd_ps(
-            _mm256_set1_ps(c0),
+            _mm256_set1_ps(static_cast<float>(q8[k])),
             _mm256_loadu_ps(bt + static_cast<int64_t>(col_idx[k]) * m + i), acc_a);
         acc_b = _mm256_fmadd_ps(
-            _mm256_set1_ps(c1),
+            _mm256_set1_ps(static_cast<float>(q8[k + 1])),
             _mm256_loadu_ps(bt + static_cast<int64_t>(col_idx[k + 1]) * m + i),
             acc_b);
       }
       if (k < k1) {
-        float c0 = static_cast<float>(q8[k]);
-        if (group_shift >= 0) c0 *= scale[k >> group_shift];
         acc_a = _mm256_fmadd_ps(
-            _mm256_set1_ps(c0),
+            _mm256_set1_ps(static_cast<float>(q8[k])),
             _mm256_loadu_ps(bt + static_cast<int64_t>(col_idx[k]) * m + i), acc_a);
       }
-      __m256 acc = _mm256_add_ps(acc_a, acc_b);
-      if (group_shift < 0) acc = _mm256_mul_ps(acc, _mm256_set1_ps(scale[r]));
+      const __m256 acc =
+          _mm256_mul_ps(_mm256_add_ps(acc_a, acc_b), _mm256_set1_ps(scale[r]));
       float out[8];
       _mm256_storeu_ps(out, acc);
       for (int t = 0; t < 8; ++t) cp[(i + t) * out_stride + r] = out[t];
@@ -165,67 +147,9 @@ __attribute__((target("avx2,fma"))) void csr_spmm_t_i8_avx2(
       float acc = 0.0F;
       const int64_t k1 = row_ptr[r + 1];
       for (int64_t k = row_ptr[r]; k < k1; ++k) {
-        float c0 = static_cast<float>(q8[k]);
-        if (group_shift >= 0) c0 *= scale[k >> group_shift];
-        acc += c0 * bt[static_cast<int64_t>(col_idx[k]) * m + i];
+        acc += static_cast<float>(q8[k]) * bt[static_cast<int64_t>(col_idx[k]) * m + i];
       }
-      if (group_shift < 0) acc *= scale[r];
-      cp[i * out_stride + r] = acc;
-    }
-  }
-}
-
-__attribute__((target("avx2,fma"))) void csr_spmm_t_i4_avx2(
-    const int64_t* row_ptr, const int32_t* col_idx, const uint8_t* q4,
-    const float* scale, int group_shift, int64_t r0, int64_t r1,
-    const float* bt, int64_t m, int64_t out_stride, float* cp) {
-  const int64_t m8 = m & ~int64_t{7};
-  for (int64_t i = 0; i < m8; i += 8) {
-    for (int64_t r = r0; r < r1; ++r) {
-      __m256 acc_a = _mm256_setzero_ps();
-      __m256 acc_b = _mm256_setzero_ps();
-      const int64_t k1 = row_ptr[r + 1];
-      int64_t k = row_ptr[r];
-      for (; k + 2 <= k1; k += 2) {
-        float c0 = decode_i4(q4, k);
-        float c1 = decode_i4(q4, k + 1);
-        if (group_shift >= 0) {
-          c0 *= scale[k >> group_shift];
-          c1 *= scale[(k + 1) >> group_shift];
-        }
-        acc_a = _mm256_fmadd_ps(
-            _mm256_set1_ps(c0),
-            _mm256_loadu_ps(bt + static_cast<int64_t>(col_idx[k]) * m + i), acc_a);
-        acc_b = _mm256_fmadd_ps(
-            _mm256_set1_ps(c1),
-            _mm256_loadu_ps(bt + static_cast<int64_t>(col_idx[k + 1]) * m + i),
-            acc_b);
-      }
-      if (k < k1) {
-        float c0 = decode_i4(q4, k);
-        if (group_shift >= 0) c0 *= scale[k >> group_shift];
-        acc_a = _mm256_fmadd_ps(
-            _mm256_set1_ps(c0),
-            _mm256_loadu_ps(bt + static_cast<int64_t>(col_idx[k]) * m + i), acc_a);
-      }
-      __m256 acc = _mm256_add_ps(acc_a, acc_b);
-      if (group_shift < 0) acc = _mm256_mul_ps(acc, _mm256_set1_ps(scale[r]));
-      float out[8];
-      _mm256_storeu_ps(out, acc);
-      for (int t = 0; t < 8; ++t) cp[(i + t) * out_stride + r] = out[t];
-    }
-  }
-  for (int64_t i = m8; i < m; ++i) {
-    for (int64_t r = r0; r < r1; ++r) {
-      float acc = 0.0F;
-      const int64_t k1 = row_ptr[r + 1];
-      for (int64_t k = row_ptr[r]; k < k1; ++k) {
-        float c0 = decode_i4(q4, k);
-        if (group_shift >= 0) c0 *= scale[k >> group_shift];
-        acc += c0 * bt[static_cast<int64_t>(col_idx[k]) * m + i];
-      }
-      if (group_shift < 0) acc *= scale[r];
-      cp[i * out_stride + r] = acc;
+      cp[i * out_stride + r] = acc * scale[r];
     }
   }
 }
@@ -296,11 +220,8 @@ __attribute__((target("avx2,fma"))) void matmul_f32_avx2(const float* a,
 void csr_spmm_t_f32_avx2(const int64_t*, const int32_t*, const float*, int64_t,
                          int64_t, const float*, int64_t, int64_t, float*) {}
 void csr_spmm_t_i8_avx2(const int64_t*, const int32_t*, const int8_t*,
-                        const float*, int, int64_t, int64_t, const float*,
-                        int64_t, int64_t, float*) {}
-void csr_spmm_t_i4_avx2(const int64_t*, const int32_t*, const uint8_t*,
-                        const float*, int, int64_t, int64_t, const float*,
-                        int64_t, int64_t, float*) {}
+                        const float*, int64_t, int64_t, const float*, int64_t,
+                        int64_t, float*) {}
 void matmul_nt_f32_avx2(const float*, const float*, int64_t, int64_t, int64_t,
                         int64_t, float*) {}
 void matmul_f32_avx2(const float*, const float*, int64_t, int64_t, int64_t,

@@ -10,7 +10,7 @@
 // bitwise identical across tiers. That only holds because the build
 // pins -ffp-contract=off (see CMakeLists.txt): otherwise -O2 would
 // contract the *scalar* bodies into FMAs these bodies deliberately
-// avoid. Quantised bodies (i8/i4) have no bitwise contract and use
+// avoid. The quantised int8 body has no bitwise contract and uses
 // FMA + reassociated accumulator chains freely.
 //
 // The batch-panel spmm_t bodies read B through its transpose
@@ -22,9 +22,9 @@
 // a generic x86-64 build still links and runs — cpuinfo's detected()
 // simply never selects the tier on hardware without AVX2. On non-x86
 // builds the functions are stubbed out and built_with_avx2() is false.
-// AArch64 note: the vector tier runs the autovectorized scalar bodies;
-// they compile directly to NEON, so there are no hand-written NEON
-// twins here; see cpuinfo.hpp.
+// AArch64 note: the scalar tier's autovectorized bodies compile
+// directly to NEON, so there are no hand-written NEON twins here; see
+// cpuinfo.hpp.
 #pragma once
 
 #include <cstdint>
@@ -50,18 +50,10 @@ void csr_spmm_t_f32_avx2(const int64_t* row_ptr, const int32_t* col_idx,
                          const float* bt, int64_t m, int64_t out_stride,
                          float* cp);
 
-/// Quantised symmetric (all zero-points 0) Csr::spmm_t. group_shift < 0:
-/// per-row scales, scale[r] applied once per output. group_shift >= 0:
-/// sub-row grouped plane (quant_group_size), scale[k >> group_shift]
-/// folded into each code — the "SIMD kernels read group scales
-/// natively" path.
+/// int8 Csr::spmm_t rows [r0, r1): scale[r] applied once per output.
 void csr_spmm_t_i8_avx2(const int64_t* row_ptr, const int32_t* col_idx,
-                        const int8_t* q8, const float* scale, int group_shift,
-                        int64_t r0, int64_t r1, const float* bt, int64_t m,
-                        int64_t out_stride, float* cp);
-void csr_spmm_t_i4_avx2(const int64_t* row_ptr, const int32_t* col_idx,
-                        const uint8_t* q4, const float* scale, int group_shift,
-                        int64_t r0, int64_t r1, const float* bt, int64_t m,
+                        const int8_t* q8, const float* scale, int64_t r0,
+                        int64_t r1, const float* bt, int64_t m,
                         int64_t out_stride, float* cp);
 
 /// Dense matmul_nt rows [i0, i1): c[i, j] += float(double chain over kk)

@@ -8,22 +8,14 @@ namespace ndsnn::util::simd {
 namespace {
 
 Tier probe() {
-#if defined(__x86_64__) || defined(_M_X64)
-#if defined(__GNUC__) || defined(__clang__)
+#if (defined(__x86_64__) || defined(_M_X64)) && (defined(__GNUC__) || defined(__clang__))
   // The AVX2 bodies use FMA for the quantised kernels, so both bits
   // must be present before the tier is offered.
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
     return Tier::kAvx2;
   }
 #endif
-  return Tier::kVector;
-#elif defined(__aarch64__)
-  // NEON is architectural on AArch64; the autovectorized bodies compile
-  // to it directly.
-  return Tier::kVector;
-#else
   return Tier::kScalar;
-#endif
 }
 
 Tier clamp(Tier t, Tier ceiling) { return t > ceiling ? ceiling : t; }
@@ -63,7 +55,6 @@ const char* name(Tier tier) {
   switch (tier) {
     case Tier::kAuto: return "auto";
     case Tier::kScalar: return "scalar";
-    case Tier::kVector: return "vector";
     case Tier::kAvx2: return "avx2";
   }
   return "?";
@@ -72,7 +63,6 @@ const char* name(Tier tier) {
 bool parse(std::string_view text, Tier* out) {
   if (text == "auto") *out = Tier::kAuto;
   else if (text == "scalar") *out = Tier::kScalar;
-  else if (text == "vector") *out = Tier::kVector;
   else if (text == "avx2") *out = Tier::kAvx2;
   else return false;
   return true;

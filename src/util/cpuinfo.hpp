@@ -1,14 +1,10 @@
 // Runtime CPU-feature detection and the kernel-tier dispatch contract.
 //
-// Every hot kernel in src/sparse/ and src/tensor/ exists at up to three
+// Every hot kernel in src/sparse/ and src/tensor/ exists at up to two
 // tiers:
 //
 //   kScalar — portable C++ loops (whatever the compiler autovectorizes;
 //             the bitwise reference semantics).
-//   kVector — the slot for gcc-vector-extension strip-mined bodies.
-//             No kernel has a dedicated vector body today, so every
-//             kernel runs its scalar body at this tier; the two tiers
-//             are then the same code.
 //   kAvx2   — hand-written AVX2(+FMA) intrinsic bodies, compiled with
 //             `__attribute__((target("avx2,fma")))` so the binary still
 //             runs on pre-AVX2 x86 (the tier is simply never selected
@@ -24,10 +20,10 @@
 //
 // Selection precedence (strongest first):
 //   1. force() — tests and the bench's tier sweeps.
-//   2. NDSNN_KERNEL_TIER=scalar|vector|avx2 env var, read once.
-//   3. detected() — cpuid probe (AVX2 && FMA -> kAvx2, else kVector).
+//   2. NDSNN_KERNEL_TIER=scalar|avx2 env var, read once.
+//   3. detected() — cpuid probe (AVX2 && FMA -> kAvx2, else kScalar).
 // Requests above detected() clamp down (forcing "avx2" on a non-AVX2
-// box runs kVector instead of SIGILLing); kAuto means "no opinion".
+// box runs kScalar instead of SIGILLing); kAuto means "no opinion".
 #pragma once
 
 #include <string_view>
@@ -36,7 +32,7 @@ namespace ndsnn::util::simd {
 
 /// Kernel tier. kAuto is a request value only ("use active()");
 /// detected()/active()/resolve() never return it.
-enum class Tier { kAuto = 0, kScalar = 1, kVector = 2, kAvx2 = 3 };
+enum class Tier { kAuto = 0, kScalar = 1, kAvx2 = 2 };
 
 /// Best tier this CPU can execute (cached cpuid probe; never kAuto).
 Tier detected();
@@ -56,7 +52,7 @@ Tier resolve(Tier request);
 /// force around a measured region); the store itself is atomic.
 void force(Tier tier);
 
-/// "auto" | "scalar" | "vector" | "avx2".
+/// "auto" | "scalar" | "avx2".
 const char* name(Tier tier);
 
 /// Parse a tier name (as accepted by NDSNN_KERNEL_TIER and the

@@ -134,7 +134,7 @@ TEST(CheckpointTest, V2RestoresIntoLiveNetworkAndRebuildsStandalone) {
 
 TEST(CheckpointTest, V3RoundTripsQuantRecordExactly) {
   auto net = make_lenet5(spec(11));
-  const QuantRecord record = build_quant_record(*net, sparse::Precision::kInt4);
+  const QuantRecord record = build_quant_record(*net, sparse::Precision::kInt8);
   ASSERT_FALSE(record.layers.empty());
   // One entry per prunable parameter, scales per lowered weight row.
   int prunable = 0;
@@ -147,18 +147,42 @@ TEST(CheckpointTest, V3RoundTripsQuantRecordExactly) {
   ASSERT_EQ(got.layers.size(), record.layers.size());
   for (std::size_t i = 0; i < got.layers.size(); ++i) {
     EXPECT_EQ(got.layers[i].param, record.layers[i].param);
-    EXPECT_EQ(got.layers[i].precision, sparse::Precision::kInt4);
+    EXPECT_EQ(got.layers[i].precision, sparse::Precision::kInt8);
     ASSERT_EQ(got.layers[i].scales.size(), record.layers[i].scales.size());
     for (std::size_t g = 0; g < got.layers[i].scales.size(); ++g) {
       EXPECT_EQ(got.layers[i].scales[g], record.layers[i].scales[g]);
-      EXPECT_EQ(got.layers[i].zeros[g], 0);
     }
   }
   // Scales regenerate deterministically from the stored fp32 weights.
-  const QuantRecord regen = build_quant_record(*net, sparse::Precision::kInt4);
+  const QuantRecord regen = build_quant_record(*net, sparse::Precision::kInt8);
   for (std::size_t i = 0; i < got.layers.size(); ++i) {
     EXPECT_EQ(regen.layers[i].scales, got.layers[i].scales) << got.layers[i].param;
   }
+}
+
+/// Precision tag 2 marks a packed-int4 plane, which older writers
+/// emitted and the runtime cannot build: a v3 record carrying it is
+/// refused with an error naming the parameter, by the record reader and
+/// by the standalone rebuild.
+TEST(CheckpointTest, V3RecordWithInt4TagIsRefused) {
+  auto net = make_lenet5(spec(13));
+  QuantRecord record = build_quant_record(*net, sparse::Precision::kInt8);
+  ASSERT_GE(record.layers.size(), 2U);
+  record.layers[1].precision = static_cast<sparse::Precision>(2);
+  const std::string param = record.layers[1].param;
+  const std::string path = ::testing::TempDir() + "/int4_tag.ndck";
+  save_checkpoint_file(path, *net, CheckpointMeta{"lenet5", spec(13)}, record);
+
+  const auto expect_refused = [&](const auto& load) {
+    try {
+      load();
+      ADD_FAILURE() << "int4 precision tag was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(param), std::string::npos) << e.what();
+    }
+  };
+  expect_refused([&] { (void)read_checkpoint_quant_file(path); });
+  expect_refused([&] { (void)load_checkpoint_network(path); });
 }
 
 /// Cross-version load matrix: every writer version against every

@@ -102,42 +102,38 @@ TEST(DifferentialTest, CompiledMatchesInterpretedBitwiseOnAllBackends) {
     // plus tests/sparse/quant_test.cpp).
     if (cfg.arch != "resnet19") {
       snn::DirectEncoder encoder;
-      for (const WeightPrecision p : difftest::quantised_precisions()) {
-        for (const Backend backend : difftest::all_backends()) {
-          for (const ActivationMode activation : difftest::all_activation_modes()) {
-            CompileOptions qopts = difftest::options_for(backend, activation);
-            qopts.weight_precision = p;
-            const CompiledNetwork qplan = CompiledNetwork::compile(*net, qopts);
-            CompileOptions fopts = qopts;
-            fopts.fake_quant = true;
-            const CompiledNetwork fplan = CompiledNetwork::compile(*net, fopts);
-            if (backend == Backend::kAuto && activation == ActivationMode::kAuto) {
-              for (const auto& r : qplan.plan()) {
-                quant_ops += r.precision != sparse::Precision::kFp32;
-              }
+      for (const Backend backend : difftest::all_backends()) {
+        for (const ActivationMode activation : difftest::all_activation_modes()) {
+          CompileOptions qopts = difftest::options_for(backend, activation);
+          qopts.weight_precision = WeightPrecision::kInt8;
+          const CompiledNetwork qplan = CompiledNetwork::compile(*net, qopts);
+          CompileOptions fopts = qopts;
+          fopts.fake_quant = true;
+          const CompiledNetwork fplan = CompiledNetwork::compile(*net, fopts);
+          if (backend == Backend::kAuto && activation == ActivationMode::kAuto) {
+            for (const auto& r : qplan.plan()) {
+              quant_ops += r.precision != sparse::Precision::kFp32;
             }
-            difftest::expect_lockstep_close(
-                qplan.plan_ir(), fplan.plan_ir(),
-                encoder.encode(batch, qplan.timesteps()), difftest::quant_tolerance(p),
-                std::string("precision=") + weight_precision_name(p) +
-                    " backend=" + difftest::backend_name(backend) +
-                    " activation=" + difftest::activation_name(activation));
-            if (::testing::Test::HasFatalFailure()) return;
-            if (backend == Backend::kAuto && activation == ActivationMode::kAuto) {
-              // Tier axis on the quantised kernels: unlike fp32 they
-              // only promise a bounded error, and the bound must hold
-              // at every forced tier, not just the dispatched one.
-              for (const util::simd::Tier tier : difftest::forced_kernel_tiers()) {
-                CompileOptions topts = qopts;
-                topts.kernel_tier = tier;
-                const CompiledNetwork tplan = CompiledNetwork::compile(*net, topts);
-                difftest::expect_lockstep_close(
-                    tplan.plan_ir(), fplan.plan_ir(),
-                    encoder.encode(batch, tplan.timesteps()), difftest::quant_tolerance(p),
-                    std::string("precision=") + weight_precision_name(p) +
-                        " kernel_tier=" + util::simd::name(tier));
-                if (::testing::Test::HasFatalFailure()) return;
-              }
+          }
+          difftest::expect_lockstep_close(
+              qplan.plan_ir(), fplan.plan_ir(),
+              encoder.encode(batch, qplan.timesteps()), difftest::kQuantTolerance,
+              std::string("precision=int8 backend=") + difftest::backend_name(backend) +
+                  " activation=" + difftest::activation_name(activation));
+          if (::testing::Test::HasFatalFailure()) return;
+          if (backend == Backend::kAuto && activation == ActivationMode::kAuto) {
+            // Tier axis on the quantised kernels: unlike fp32 they
+            // only promise a bounded error, and the bound must hold
+            // at every forced tier, not just the dispatched one.
+            for (const util::simd::Tier tier : difftest::forced_kernel_tiers()) {
+              CompileOptions topts = qopts;
+              topts.kernel_tier = tier;
+              const CompiledNetwork tplan = CompiledNetwork::compile(*net, topts);
+              difftest::expect_lockstep_close(
+                  tplan.plan_ir(), fplan.plan_ir(),
+                  encoder.encode(batch, tplan.timesteps()), difftest::kQuantTolerance,
+                  std::string("precision=int8 kernel_tier=") + util::simd::name(tier));
+              if (::testing::Test::HasFatalFailure()) return;
             }
           }
         }
@@ -154,7 +150,7 @@ TEST(DifferentialTest, CompiledMatchesInterpretedBitwiseOnAllBackends) {
   EXPECT_GT(auto_kinds["csr-linear"] + auto_kinds["csr-conv"], 0);
   EXPECT_GT(auto_event_ops, 0);
   // The precision axis must have put real quantised planes on sparse
-  // weight ops (forced int8/int4 applies to every non-dense kernel; the
+  // weight ops (forced int8 applies to every non-dense kernel; the
   // pinned 0.9-sparsity config guarantees at least one).
   EXPECT_GT(quant_ops, 0);
 }

@@ -42,17 +42,14 @@ TEST(QuantRuntimeTest, ForcedPrecisionQuantisesSparseLayersAndShrinksBytes) {
   CompileOptions q_opts = fp32_opts;
   q_opts.weight_precision = WeightPrecision::kInt8;
   const CompiledNetwork q8 = CompiledNetwork::compile(*net, q_opts);
-  q_opts.weight_precision = WeightPrecision::kInt4;
-  const CompiledNetwork q4 = CompiledNetwork::compile(*net, q_opts);
 
   for (const auto& r : weight_reports(q8)) {
     EXPECT_EQ(r.precision, sparse::Precision::kInt8) << r.layer;
   }
-  // Same structure, smaller value planes: int8 cuts value bytes 4x,
-  // int4 8x (index overhead unchanged).
+  // Same structure, smaller value planes: int8 cuts value bytes 4x
+  // (index overhead unchanged).
   EXPECT_EQ(q8.stored_weights(), fp32.stored_weights());
   EXPECT_LT(q8.stored_bytes(), fp32.stored_bytes());
-  EXPECT_LT(q4.stored_bytes(), q8.stored_bytes());
   // The summary surfaces the precision per op.
   EXPECT_NE(q8.summary().find("int8"), std::string::npos);
 
@@ -81,15 +78,10 @@ TEST(QuantRuntimeTest, AutoPrecisionFollowsTheMeasuredErrorBound) {
   CompileOptions opts;
   opts.backend = Backend::kCsr;
   opts.weight_precision = WeightPrecision::kAuto;
-  // Default bound (0.02): per-row int8 error ~0.4% passes, int4 ~7% is
-  // rejected — every sparse layer lands on int8.
+  // Default bound (0.02): per-row int8 error ~0.4% passes — every
+  // sparse layer lands on int8.
   for (const auto& r : weight_reports(CompiledNetwork::compile(*net, opts))) {
     EXPECT_EQ(r.precision, sparse::Precision::kInt8) << r.layer;
-  }
-  // A generous bound admits int4 (the heuristic prefers the lowest width).
-  opts.quant_max_error = 0.2;
-  for (const auto& r : weight_reports(CompiledNetwork::compile(*net, opts))) {
-    EXPECT_EQ(r.precision, sparse::Precision::kInt4) << r.layer;
   }
   // An unattainable bound keeps everything fp32.
   opts.quant_max_error = 1e-7;
@@ -105,13 +97,13 @@ TEST(QuantRuntimeTest, LayerPrecisionOverridesApplyInBodyOrder) {
   CompileOptions opts;
   opts.backend = Backend::kCsr;
   opts.weight_precision = WeightPrecision::kAuto;
-  opts.layer_precisions = {sparse::Precision::kInt4, sparse::Precision::kFp32,
-                           sparse::Precision::kInt8};
+  opts.layer_precisions = {sparse::Precision::kFp32, sparse::Precision::kInt8,
+                           sparse::Precision::kFp32};
   const auto reports = weight_reports(CompiledNetwork::compile(*net, opts));
   ASSERT_GE(reports.size(), 4U);  // lenet5: conv1 conv2 fc1 fc2 fc3
-  EXPECT_EQ(reports[0].precision, sparse::Precision::kInt4);
-  EXPECT_EQ(reports[1].precision, sparse::Precision::kFp32);
-  EXPECT_EQ(reports[2].precision, sparse::Precision::kInt8);
+  EXPECT_EQ(reports[0].precision, sparse::Precision::kFp32);
+  EXPECT_EQ(reports[1].precision, sparse::Precision::kInt8);
+  EXPECT_EQ(reports[2].precision, sparse::Precision::kFp32);
   // Layers past the override vector fall back to the error-bound
   // heuristic (int8 under the default bound).
   EXPECT_EQ(reports[3].precision, sparse::Precision::kInt8);
@@ -153,8 +145,8 @@ TEST(QuantRuntimeTest, FakeQuantPlanExecutesFp32KernelsWithQuantisedWeights) {
 
 /// Pinned (deterministic) sanity against *true* fp32 weights: the int8
 /// first-conv output moves by a real but bounded amount. This guards
-/// against gross kernel breakage (wrong scale indexing, nibble-order
-/// bugs) with genuine quantisation error in the signal path; the
+/// against gross kernel breakage (wrong scale or code indexing) with
+/// genuine quantisation error in the signal path; the
 /// precision contract itself is asserted by the lockstep sweep and
 /// tests/sparse/quant_test.cpp.
 TEST(QuantRuntimeTest, PinnedFirstOpInt8OutputStaysCloseToFp32) {
@@ -188,27 +180,23 @@ TEST(QuantRuntimeTest, FromCheckpointHonorsV3RecordUnderAuto) {
   spec.image_size = pinned_config().image;
   spec.timesteps = pinned_config().timesteps;
   spec.seed = pinned_config().seed;
-  const nn::QuantRecord record = nn::build_quant_record(*net, sparse::Precision::kInt4);
+  const nn::QuantRecord record = nn::build_quant_record(*net, sparse::Precision::kInt8);
   nn::save_checkpoint_file(path, *net, nn::CheckpointMeta{"lenet5", spec}, record);
 
-  // kAuto honors the record: every sparse layer serves int4.
+  // kAuto honors the record over its own error bound: with a bound no
+  // layer can meet, every sparse layer still serves the recorded int8.
   CompileOptions opts;
   opts.backend = Backend::kCsr;
   opts.weight_precision = WeightPrecision::kAuto;
+  opts.quant_max_error = 1e-7;
   for (const auto& r : weight_reports(CompiledNetwork::from_checkpoint(path, opts))) {
-    EXPECT_EQ(r.precision, sparse::Precision::kInt4) << r.layer;
+    EXPECT_EQ(r.precision, sparse::Precision::kInt8) << r.layer;
   }
-  // The default (kFp32) ignores it; an explicit precision overrides it.
+  // The default (kFp32) is an explicit precision and overrides it.
   CompileOptions fp32_opts;
   fp32_opts.backend = Backend::kCsr;
   for (const auto& r : weight_reports(CompiledNetwork::from_checkpoint(path, fp32_opts))) {
     EXPECT_EQ(r.precision, sparse::Precision::kFp32) << r.layer;
-  }
-  CompileOptions int8_opts;
-  int8_opts.backend = Backend::kCsr;
-  int8_opts.weight_precision = WeightPrecision::kInt8;
-  for (const auto& r : weight_reports(CompiledNetwork::from_checkpoint(path, int8_opts))) {
-    EXPECT_EQ(r.precision, sparse::Precision::kInt8) << r.layer;
   }
 }
 
@@ -216,9 +204,9 @@ TEST(QuantRuntimeTest, ParseWeightPrecisionRoundTrips) {
   EXPECT_EQ(parse_weight_precision("auto"), WeightPrecision::kAuto);
   EXPECT_EQ(parse_weight_precision("fp32"), WeightPrecision::kFp32);
   EXPECT_EQ(parse_weight_precision("int8"), WeightPrecision::kInt8);
-  EXPECT_EQ(parse_weight_precision("int4"), WeightPrecision::kInt4);
-  EXPECT_THROW(parse_weight_precision("bf16"), std::invalid_argument);
-  EXPECT_STREQ(weight_precision_name(WeightPrecision::kInt4), "int4");
+  EXPECT_THROW((void)parse_weight_precision("int4"), std::invalid_argument);
+  EXPECT_THROW((void)parse_weight_precision("bf16"), std::invalid_argument);
+  EXPECT_STREQ(weight_precision_name(WeightPrecision::kInt8), "int8");
 }
 
 }  // namespace

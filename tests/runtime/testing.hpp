@@ -288,16 +288,14 @@ inline const char* activation_name(runtime::ActivationMode m) {
 // that promise by re-compiling scenarios with CompileOptions::
 // kernel_tier forced below the detected tier and comparing against the
 // same interpreted reference: the default (kAuto) compile already
-// exercises the *detected* tier, so forcing kScalar and kVector covers
-// every tier the machine can run. On a machine without AVX2 the forced
-// tiers clamp (resolve() never exceeds detected()) and the axis
-// degenerates to re-checking the portable kernels, which is the
-// correct behaviour, not a gap.
+// exercises the *detected* tier, so forcing kScalar covers every tier
+// the machine can run. On a machine without AVX2 the detected tier is
+// kScalar and the axis degenerates to re-checking the portable
+// kernels, which is the correct behaviour, not a gap.
 
 /// Tiers the sweep forces explicitly on top of the default compile.
 inline const std::vector<util::simd::Tier>& forced_kernel_tiers() {
-  static const std::vector<util::simd::Tier> kTiers = {
-      util::simd::Tier::kScalar, util::simd::Tier::kVector};
+  static const std::vector<util::simd::Tier> kTiers = {util::simd::Tier::kScalar};
   return kTiers;
 }
 
@@ -314,38 +312,20 @@ inline const std::vector<util::simd::Tier>& forced_kernel_tiers() {
 // quantised plan against a CompileOptions::fake_quant reference plan —
 // same precision, but the plane is dequantised back to fp32 storage at
 // compile time, so the reference executes the quantised plan's *exact*
-// effective weights (whatever the grouping: per CSR row, per transposed
-// row on the event path, per fixed-size group) on the bitwise fp32
-// kernels.
+// effective weights (per CSR row, or per transposed row on the event
+// path) on the bitwise fp32 kernels.
 // Both plans run every op on the *same* input (the reference op's
 // output). Weight-op differences are then pure kernel reassociation,
-// orders of magnitude inside the documented 1e-2 / 5e-2 tolerances, and
+// orders of magnitude inside the documented 1e-2 int8 tolerance, and
 // neuron ops see identical inputs, so no spike can flip: the check is
 // deterministic, tight, and immune to threshold cliffs. The tolerances'
 // relationship to *fp32* weights is pinned at the kernel level by
 // tests/sparse/quant_test.cpp (analytic bound + the documented spike
 // regime).
 
-/// Quantised precisions the sweep crosses with backend x activation.
-inline const std::vector<runtime::WeightPrecision>& quantised_precisions() {
-  static const std::vector<runtime::WeightPrecision> kPrecisions = {
-      runtime::WeightPrecision::kInt8, runtime::WeightPrecision::kInt4};
-  return kPrecisions;
-}
-
-inline sparse::Precision to_sparse_precision(runtime::WeightPrecision p) {
-  switch (p) {
-    case runtime::WeightPrecision::kInt8: return sparse::Precision::kInt8;
-    case runtime::WeightPrecision::kInt4: return sparse::Precision::kInt4;
-    default: return sparse::Precision::kFp32;
-  }
-}
-
-/// Documented per-op max-abs tolerance of a quantised plan against the
-/// fp32 plan sharing its effective weights.
-inline double quant_tolerance(runtime::WeightPrecision p) {
-  return p == runtime::WeightPrecision::kInt4 ? 5e-2 : 1e-2;
-}
+/// Documented per-op max-abs tolerance of an int8 plan against the fp32
+/// plan sharing its effective weights.
+inline constexpr double kQuantTolerance = 1e-2;
 
 /// Run two structurally-identical plans op by op on the same inputs and
 /// assert every op's output stays within `tol` max-abs. The reference

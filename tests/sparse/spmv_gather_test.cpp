@@ -136,39 +136,37 @@ TEST(SpmvGatherTest, CsrScatterRowMatchesDenseReference) {
 
 TEST(SpmvGatherTest, CsrBinaryGatherMatchesGeneralQuantisedPath) {
   Rng rng(difftest::env_seed() ^ 0xB1A4ULL);
-  for (const Precision p : {Precision::kInt8, Precision::kInt4}) {
-    const int64_t out = 17, in = 29;
-    const Tensor w = random_sparse(out, in, 0.6, rng);
-    Csr uniform_t = Csr::from_dense(w).transposed();
-    (void)uniform_t.quantize(p, /*symmetric=*/true, /*uniform_scale=*/true);
-    ASSERT_TRUE(uniform_t.quant().uniform);
-    // All scales identical (replicated per group).
-    for (const float s : uniform_t.quant().scale) {
-      ASSERT_EQ(s, uniform_t.quant().scale[0]);
-    }
+  const int64_t out = 17, in = 29;
+  const Tensor w = random_sparse(out, in, 0.6, rng);
+  Csr uniform_t = Csr::from_dense(w).transposed();
+  (void)uniform_t.quantize(Precision::kInt8, /*uniform_scale=*/true);
+  ASSERT_TRUE(uniform_t.quant().uniform);
+  // All scales identical (replicated per group).
+  for (const float s : uniform_t.quant().scale) {
+    ASSERT_EQ(s, uniform_t.quant().scale[0]);
+  }
 
-    // Binary spikes: every active value is exactly 1.0.
-    std::vector<float> x(static_cast<std::size_t>(in), 0.0F);
-    for (auto& v : x) {
-      if (rng.uniform01() < 0.3) v = 1.0F;
-    }
-    const auto active = active_indices(x);
+  // Binary spikes: every active value is exactly 1.0.
+  std::vector<float> x(static_cast<std::size_t>(in), 0.0F);
+  for (auto& v : x) {
+    if (rng.uniform01() < 0.3) v = 1.0F;
+  }
+  const auto active = active_indices(x);
 
-    std::vector<double> general(static_cast<std::size_t>(out), 0.0);
-    uniform_t.spmv_gather(x.data(), active.data(), static_cast<int64_t>(active.size()),
-                          general.data());
-    std::vector<double> fast(static_cast<std::size_t>(out), 0.0);
-    std::vector<int32_t> iacc(static_cast<std::size_t>(out), -7);  // kernel must zero it
-    uniform_t.spmv_gather(x.data(), active.data(), static_cast<int64_t>(active.size()),
-                          fast.data(), iacc.data());
-    for (int64_t r = 0; r < out; ++r) {
-      // scale * code_k is exact in double and the partial integer sums
-      // stay far below 2^53/2^24, so summing scale-weighted codes one
-      // by one (general) equals scale * (int32 code sum) (fast) exactly
-      // at these sizes.
-      ASSERT_EQ(fast[static_cast<std::size_t>(r)], general[static_cast<std::size_t>(r)])
-          << precision_tag(p) << " out " << r;
-    }
+  std::vector<double> general(static_cast<std::size_t>(out), 0.0);
+  uniform_t.spmv_gather(x.data(), active.data(), static_cast<int64_t>(active.size()),
+                        general.data());
+  std::vector<double> fast(static_cast<std::size_t>(out), 0.0);
+  std::vector<int32_t> iacc(static_cast<std::size_t>(out), -7);  // kernel must zero it
+  uniform_t.spmv_gather(x.data(), active.data(), static_cast<int64_t>(active.size()),
+                        fast.data(), iacc.data());
+  for (int64_t r = 0; r < out; ++r) {
+    // scale * code_k is exact in double and the partial integer sums
+    // stay far below 2^53/2^24, so summing scale-weighted codes one
+    // by one (general) equals scale * (int32 code sum) (fast) exactly
+    // at these sizes.
+    ASSERT_EQ(fast[static_cast<std::size_t>(r)], general[static_cast<std::size_t>(r)])
+        << "out " << r;
   }
 }
 
@@ -176,7 +174,7 @@ TEST(SpmvGatherTest, CsrBinaryFastPathDeclinesNonBinaryInput) {
   Rng rng(difftest::env_seed() ^ 0xD2C1ULL);
   const Tensor w = random_sparse(9, 12, 0.4, rng);
   Csr uniform_t = Csr::from_dense(w).transposed();
-  (void)uniform_t.quantize(Precision::kInt8, true, /*uniform_scale=*/true);
+  (void)uniform_t.quantize(Precision::kInt8, /*uniform_scale=*/true);
   // 0.5-valued activations must take the general (scale-folding) path
   // even when iacc is offered — passing iacc must not change results.
   std::vector<float> x(12, 0.0F);
@@ -194,11 +192,11 @@ TEST(SpmvGatherTest, CsrBinaryFastPathDeclinesNonBinaryInput) {
 
 TEST(SpmvGatherTest, UniformScaleQuantErrorStaysInsideGlobalBound) {
   // Uniform-scale error contract: every reconstructed value within
-  // scale/2 of its source, scale = global max|w| / qmax.
+  // scale/2 of its source, scale = global max|w| / 127.
   Rng rng(difftest::env_seed() ^ 0x0B0DULL);
   const Tensor w = random_sparse(12, 20, 0.5, rng);
   Csr csr = Csr::from_dense(w);
-  const float err = csr.quantize(Precision::kInt8, true, /*uniform_scale=*/true);
+  const float err = csr.quantize(Precision::kInt8, /*uniform_scale=*/true);
   EXPECT_LE(err, csr.quant().scale[0] * 0.5F + 1e-7F);
   EXPECT_LE(err, w.abs_max() / 127.0F * 0.5F + 1e-7F);
   // relative_quant_error's uniform mode is the measurement the kAuto

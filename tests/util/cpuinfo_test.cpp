@@ -14,20 +14,17 @@ TEST(CpuinfoTest, DetectedIsConcrete) {
   EXPECT_LE(static_cast<int>(t), static_cast<int>(Tier::kAvx2));
   // Stable across calls (cached probe).
   EXPECT_EQ(detected(), t);
-#if defined(__x86_64__)
-  // Any x86-64 box has SSE2, so the baseline is at least kVector.
-  EXPECT_GE(static_cast<int>(t), static_cast<int>(Tier::kVector));
-#endif
 }
 
 TEST(CpuinfoTest, NamesRoundTrip) {
-  for (const Tier t : {Tier::kAuto, Tier::kScalar, Tier::kVector, Tier::kAvx2}) {
+  for (const Tier t : {Tier::kAuto, Tier::kScalar, Tier::kAvx2}) {
     Tier parsed = Tier::kScalar;
     ASSERT_TRUE(parse(name(t), &parsed)) << name(t);
     EXPECT_EQ(parsed, t);
   }
   Tier out;
   EXPECT_FALSE(parse("avx512", &out));
+  EXPECT_FALSE(parse("vector", &out));
   EXPECT_FALSE(parse("", &out));
 }
 
@@ -44,7 +41,7 @@ TEST(CpuinfoTest, ForceOverridesAndClears) {
   EXPECT_EQ(active(), Tier::kScalar);
   EXPECT_EQ(resolve(Tier::kAuto), Tier::kScalar);
   // Explicit requests ignore force() — it only redefines kAuto.
-  EXPECT_LE(static_cast<int>(resolve(Tier::kVector)), static_cast<int>(detected()));
+  EXPECT_LE(static_cast<int>(resolve(Tier::kAvx2)), static_cast<int>(detected()));
   force(Tier::kAvx2);  // clamped on non-AVX2 hardware
   EXPECT_LE(static_cast<int>(active()), static_cast<int>(detected()));
   force(Tier::kAuto);  // clear
